@@ -177,10 +177,15 @@ class EmbeddingBackend(Protocol):
 
 
 class SimilarityScorer:
-    """sim(x, y) = cosine(embed(x), embed(y)), with embeddings memoized."""
+    """sim(x, y) = cosine(embed(x), embed(y)), with embeddings memoized.
 
-    def __init__(self, embedder: EmbeddingBackend):
+    `sims` scores many pairs: it first embeds the distinct texts not yet
+    memoized, with up to max_workers embedding requests in flight.
+    """
+
+    def __init__(self, embedder: EmbeddingBackend, max_workers: int = 1):
         self.embedder = embedder
+        self.max_workers = max_workers
         self._memo: dict[str, EmbeddingVector] = {}
 
     def embedding(self, text: str) -> EmbeddingVector:
@@ -195,17 +200,40 @@ class SimilarityScorer:
     def sim(self, x: str, y: str) -> float:
         return cosine(self.embedding(x), self.embedding(y))
 
+    def sims(self, pairs: Iterable[tuple[str, str]]) -> list[float]:
+        pairs = list(pairs)
+        texts = dict.fromkeys(text for pair in pairs for text in pair)
+        missing = [text for text in texts if text not in self._memo]
+        # a caching embedder answers some texts without a request
+        cached = getattr(self.embedder, "cached", None)
+        parallel_map(self.embedding, missing, self.max_workers, local=cached)
+        return [self.sim(x, y) for x, y in pairs]
+
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def parallel_map(
-    fn: Callable[[T], R], items: Iterable[T], max_workers: int = 1
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    max_workers: int = 1,
+    local: Callable[[T], bool] | None = None,
 ) -> list[R]:
-    """Order-preserving map; max_workers bounds in-flight backend requests."""
+    """Order-preserving map; max_workers bounds in-flight backend requests.
+
+    Every stage sends its backend requests, LLM and embedding alike and
+    translation included, through one parallel_map call at a time, so
+    max_workers bounds all requests in flight. `fn` must not start another
+    parallel_map. Items for which `local(item)` is true need no request
+    (the response cache holds the answer): they run in the calling thread,
+    where they avoid the GIL hand-offs of a worker thread.
+    """
     items = list(items)
     if max_workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    here = [local is not None and local(item) for item in items]
+    remote = [item for item, h in zip(items, here) if not h]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
+        fetched = iter(list(pool.map(fn, remote)))
+    return [fn(item) if h else next(fetched) for item, h in zip(items, here)]

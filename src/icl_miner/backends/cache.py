@@ -2,7 +2,9 @@
 
 One JSON file per fingerprint under the cache root. Writes go through a
 temp file plus atomic rename so concurrent workers never observe partial
-entries; corrupt entries are treated as misses with a warning.
+entries; corrupt entries are treated as misses with a warning. The caching
+wrappers let one request per fingerprint through at a time, so identical
+requests in flight together reach the backend once.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import json
 import logging
 import os
 import tempfile
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 from .base import (
@@ -43,6 +47,9 @@ class ResponseCache:
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
+
+    def contains(self, key: str) -> bool:
+        return self._path(key).exists()
 
     def get(self, key: str) -> dict | None:
         path = self._path(key)
@@ -76,6 +83,36 @@ class ResponseCache:
             raise
 
 
+class _SingleFlight:
+    """Per-key mutual exclusion: one holder per key, the others wait.
+
+    A caller that held the key while it looked up, fetched and stored an
+    entry leaves it cached, so a waiter that takes the key next finds a
+    hit. After a failure nothing is cached, and the waiter makes its own
+    call.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._held: dict[str, threading.Event] = {}
+
+    @contextmanager
+    def hold(self, key: str):
+        while True:
+            with self._lock:
+                done = self._held.get(key)
+                if done is None:
+                    done = self._held[key] = threading.Event()
+                    break
+            done.wait()
+        try:
+            yield
+        finally:
+            with self._lock:
+                del self._held[key]
+            done.set()
+
+
 class CachingLLM:
     """LLM wrapper that serves repeated requests from the cache."""
 
@@ -84,25 +121,35 @@ class CachingLLM:
         self.cache = cache
         self.backend_id = backend.backend_id
         self.model_id = backend.model_id
+        self._flights = _SingleFlight()
+
+    def _key(self, request: GenerationRequest) -> str:
+        return fingerprint(self.backend_id, self.model_id, request.to_payload())
+
+    def cached(self, request: GenerationRequest) -> bool:
+        """Whether the cache already holds the response to `request`."""
+        return self.cache.contains(self._key(request))
 
     def generate(self, request: GenerationRequest) -> list[ScoredCompletion]:
-        key = fingerprint(self.backend_id, self.model_id, request.to_payload())
-        hit = self.cache.get(key)
-        if hit is not None:
-            return [
-                ScoredCompletion(c["text"], float(c["score"]))
-                for c in hit["completions"]
-            ]
-        completions = self.backend.generate(request)
-        self.cache.put(
-            key,
-            {
-                "completions": [
-                    {"text": c.text, "score": c.sequence_score} for c in completions
+        key = self._key(request)
+        with self._flights.hold(key):
+            hit = self.cache.get(key)
+            if hit is not None:
+                return [
+                    ScoredCompletion(c["text"], float(c["score"]))
+                    for c in hit["completions"]
                 ]
-            },
-        )
-        return completions
+            completions = self.backend.generate(request)
+            self.cache.put(
+                key,
+                {
+                    "completions": [
+                        {"text": c.text, "score": c.sequence_score}
+                        for c in completions
+                    ]
+                },
+            )
+            return completions
 
 
 class CachingEmbedder:
@@ -113,12 +160,21 @@ class CachingEmbedder:
         self.cache = cache
         self.backend_id = backend.backend_id
         self.model_id = backend.model_id
+        self._flights = _SingleFlight()
+
+    def _key(self, text: str) -> str:
+        return fingerprint(self.backend_id, self.model_id, {"embed": text})
+
+    def cached(self, text: str) -> bool:
+        """Whether the cache already holds the embedding of `text`."""
+        return self.cache.contains(self._key(text))
 
     def embed(self, text: str) -> EmbeddingVector:
-        key = fingerprint(self.backend_id, self.model_id, {"embed": text})
-        hit = self.cache.get(key)
-        if hit is not None:
-            return EmbeddingVector(tuple(float(v) for v in hit["vector"]))
-        vector = self.backend.embed(text)
-        self.cache.put(key, {"vector": list(vector.values)})
-        return vector
+        key = self._key(text)
+        with self._flights.hold(key):
+            hit = self.cache.get(key)
+            if hit is not None:
+                return EmbeddingVector(tuple(float(v) for v in hit["vector"]))
+            vector = self.backend.embed(text)
+            self.cache.put(key, {"vector": list(vector.values)})
+            return vector

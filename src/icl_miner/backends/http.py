@@ -1,9 +1,10 @@
 """OpenAI-compatible HTTP backends for completions and embeddings.
 
 Requests are idempotent, so transient transport errors and 5xx responses
-are retried with exponential backoff (3 attempts). Sequence scores are the
-sum of token log-probabilities when the API returns them; otherwise the
-provider's ordering is mapped to scores -1, -2, ...
+are retried with exponential backoff (3 attempts); a 4xx raises
+BackendRejected at once. Sequence scores are the sum of token
+log-probabilities when the API returns them; otherwise the provider's
+ordering is mapped to scores -1, -2, ...
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 
 import requests
 
-from ..errors import BackendError
+from ..errors import BackendError, BackendRejected
 from .base import (
     EmbeddingVector,
     GenerationRequest,
@@ -41,17 +42,14 @@ def _post_with_retries(
                     f"{url} returned {response.status_code}: {response.text[:200]}"
                 )
             if response.status_code >= 400:
-                # client errors will not improve on retry
-                raise BackendError(
+                raise BackendRejected(
                     f"{url} rejected request ({response.status_code}): "
                     f"{response.text[:200]}"
-                ) from None
+                )
             return response.json()
-        except BackendError as exc:
-            if "rejected request" in str(exc):
-                raise
-            last_error = exc
-        except (requests.RequestException, ValueError) as exc:
+        except BackendRejected:
+            raise
+        except (BackendError, requests.RequestException, ValueError) as exc:
             last_error = exc
         if attempt < RETRY_ATTEMPTS - 1:
             delay = RETRY_BASE_DELAY * (2**attempt)

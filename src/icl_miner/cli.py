@@ -25,7 +25,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", help="override run output directory")
     parser.add_argument("--seed", type=int, help="override sampling seed")
     parser.add_argument(
-        "--concurrency", type=int, help="max in-flight backend requests"
+        "--concurrency",
+        type=int,
+        help="max in-flight backend requests, LLM and embedding together, "
+        "in every stage including translation",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
 

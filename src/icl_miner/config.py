@@ -68,6 +68,8 @@ class PipelineConfig:
     embedding_model: str = ""
     embedding_dim: int = 256
     cache_dir: str = ".icl-cache"
+    # max backend requests in flight, LLM and embedding together, in every
+    # stage including translation
     concurrency: int = 1
     # mining constants
     n: int = DEFAULTS["n"]

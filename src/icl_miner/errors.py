@@ -24,6 +24,10 @@ class BackendError(MinerError):
     exit_code = 3
 
 
+class BackendRejected(BackendError):
+    """The backend refused the request itself (HTTP 4xx); a retry cannot help."""
+
+
 class DataError(MinerError):
     """Corpus or artifact data problem (missing file, misalignment, empty input)."""
 

@@ -30,6 +30,7 @@ from .backends import (
     SimilarityScorer,
     StopCondition,
     TrigramHashEmbedder,
+    parallel_map,
 )
 from .config import PipelineConfig
 from .corpus import (
@@ -119,7 +120,7 @@ class Pipeline:
         self._raw_llm = self._make_llm()
         self.llm = CachingLLM(self._raw_llm, cache)
         self.embedder = CachingEmbedder(self._make_embedder(), cache)
-        self.scorer = SimilarityScorer(self.embedder)
+        self.scorer = SimilarityScorer(self.embedder, max_workers=config.concurrency)
         self.index_builder = bm25.CachedIndexBuilder(
             bm25.Bm25Params(k1=config.bm25_k1, b=config.bm25_b)
         )
@@ -338,7 +339,7 @@ class Pipeline:
             shots.reverse()
         return shots
 
-    def _generate_translation(self, sentence: str, shots) -> str:
+    def _translation_request(self, sentence: str, shots) -> GenerationRequest:
         prompt = sentence_translation_prompt(
             sentence,
             self.source_lang.display_name,
@@ -346,18 +347,38 @@ class Pipeline:
             shots,
             self.templates,
         )
-        request = GenerationRequest(
+        return GenerationRequest(
             prompt=prompt,
             num_samples=1,
             mode=self._sentence_decoding(),
             stop=StopCondition.at("\n"),
             max_new_tokens=self.config.max_sentence_tokens,
         )
-        completions = self.llm.generate(request)
-        if not completions:
-            log.warning("empty translation for %r", sentence[:40])
-            return ""
-        return completions[0].text
+
+    def _translate_all(
+        self, sentences: Sequence[str], shot_lists: Sequence[list]
+    ) -> list[str]:
+        """One hypothesis per sentence, in input order.
+
+        Prompts are rendered in order; the generations run with up to
+        `concurrency` requests in flight.
+        """
+        requests = [
+            self._translation_request(sentence, shots)
+            for sentence, shots in zip(sentences, shot_lists)
+        ]
+        distinct = list(dict.fromkeys(requests))
+        results = parallel_map(
+            self.llm.generate, distinct, self.config.concurrency, local=self.llm.cached
+        )
+        by_request = dict(zip(distinct, results))
+        hypotheses = []
+        for sentence, request in zip(sentences, requests):
+            completions = by_request[request]
+            if not completions:
+                log.warning("empty translation for %r", sentence[:40])
+            hypotheses.append(completions[0].text if completions else "")
+        return hypotheses
 
     def translate(self, policy: str) -> Path:
         """Stage 4: one hypothesis line per test source line, per policy."""
@@ -391,7 +412,6 @@ class Pipeline:
 
         test = self._test_corpus()
         sources = test.sources
-        hypotheses: list[str] = []
         audit_records: list[dict] = []
 
         if policy == "uw2w":
@@ -402,8 +422,7 @@ class Pipeline:
             )
             hypotheses = [rendering for _, rendering in corpus.pairs]
         elif policy == "zero_shot":
-            for sentence in sources:
-                hypotheses.append(self._generate_translation(sentence, []))
+            hypotheses = self._translate_all(sources, [[] for _ in sources])
         else:
             if policy.startswith("gold"):
                 pool = self._gold_pool()
@@ -412,6 +431,7 @@ class Pipeline:
             bm25_policy = SelectionPolicy(
                 kind="topk_bm25", k=cfg.k, tau=cfg.tau, fallback_m=cfg.fallback_m
             )
+            shot_lists = []
             for query_index, sentence in enumerate(sources):
                 bm25_scores = None
                 if policy in ("random", "gold_kshot"):
@@ -427,8 +447,7 @@ class Pipeline:
                     )
                     indices = list(audit.pool_indices)
                     bm25_scores = list(audit.bm25_scores)
-                shots = self._shots_for_prompt(policy, selected)
-                hypotheses.append(self._generate_translation(sentence, shots))
+                shot_lists.append(self._shots_for_prompt(policy, selected))
                 audit_records.append(
                     {
                         "query_index": query_index,
@@ -437,6 +456,7 @@ class Pipeline:
                         "bm25_scores": bm25_scores,
                     }
                 )
+            hypotheses = self._translate_all(sources, shot_lists)
 
         write_lines(hyp_path, hypotheses)
         if writes_audit:

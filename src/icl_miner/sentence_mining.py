@@ -121,7 +121,11 @@ def select_backtranslation_shots(
     if strategy == "top_sim":
         if scorer is None:
             raise DataError("top_sim shot strategy needs a similarity scorer")
-        entries.sort(key=lambda pair: -scorer.sim(pair[1], pair[0]))
+        similarities = scorer.sims(
+            (rendering, original) for original, rendering in entries
+        )
+        ranked = sorted(zip(similarities, entries), key=lambda item: -item[0])
+        entries = [entry for _, entry in ranked]
     elif strategy != "first_k":
         raise DataError(f"unknown shot strategy {strategy!r}")
     if len(entries) < k:
@@ -187,14 +191,16 @@ def back_translate(
         raise BackendError(
             f"{failures}/{len(d_u)} back-translations failed; aborting"
         )
-    pairs: list[SentencePair] = []
+    kept: list[tuple[str, str]] = []
     for sentence, text in results:
         if text is None:
             continue
         if not text:
             log.warning("empty back-translation dropped for %r", sentence[:40])
             continue
-        similarity = scorer.sim(text, sentence)
+        kept.append((text, sentence))
+    pairs: list[SentencePair] = []
+    for (text, sentence), similarity in zip(kept, scorer.sims(kept)):
         if similarity == 1.0:
             log.warning("back-translation equals its input: %r", sentence[:40])
         pairs.append(

@@ -226,7 +226,9 @@ def read_w2w(path: str | Path, shots: Sequence[WordPair] = ()) -> W2wCorpus:
             continue
         record = json.loads(line)
         pairs.append((record["source"], record["w2w"]))
-        stats.append(SentenceStats(0, int(record["copied_through"])))
+        # every token is either translated or copied through
+        copied = int(record["copied_through"])
+        stats.append(SentenceStats(len(segment(record["source"])) - copied, copied))
     if not pairs:
         raise DataError(f"empty w2w corpus: {path}")
     return W2wCorpus(pairs=tuple(pairs), shots_used=tuple(shots), stats=tuple(stats))

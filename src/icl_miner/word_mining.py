@@ -249,9 +249,10 @@ def rank_and_select(
     """
     if not pairs:
         raise DataError("no word pairs to rank")
+    similarities = scorer.sims((p.source_word, p.target_word) for p in pairs)
     annotated = [
-        replace(pair, similarity=scorer.sim(pair.source_word, pair.target_word))
-        for pair in pairs
+        replace(pair, similarity=similarity)
+        for pair, similarity in zip(pairs, similarities)
     ]
     annotated.sort(key=lambda p: -p.similarity)
     if len(annotated) < k_wp:

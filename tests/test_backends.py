@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import threading
+import time
 import unicodedata
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -26,8 +28,10 @@ from icl_miner.backends import (
     TrigramHashEmbedder,
     cosine,
     fingerprint,
+    parallel_map,
 )
-from icl_miner.errors import BackendError
+from icl_miner.backends import http
+from icl_miner.errors import BackendError, BackendRejected
 
 
 def write_llm_fixture(path, records):
@@ -232,6 +236,47 @@ class TestSimilarityScorer:
         scorer.sim("a", "b")
         assert calls == ["a", "b"]
 
+    def test_sims_embeds_distinct_texts_concurrently(self):
+        calls, in_flight, peak = [], [0], [0]
+        lock = threading.Lock()
+
+        class SlowEmbedder:
+            backend_id = "slow"
+            model_id = "slow"
+
+            def embed(self, text):
+                with lock:
+                    calls.append(text)
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                time.sleep(0.05)
+                with lock:
+                    in_flight[0] -= 1
+                return EmbeddingVector((float(ord(text)), 1.0))
+
+        scorer = SimilarityScorer(SlowEmbedder(), max_workers=3)
+        pairs = [("a", "b"), ("b", "c"), ("a", "c"), ("d", "a")]
+        assert scorer.sims(pairs) == [scorer.sim(x, y) for x, y in pairs]
+        assert sorted(calls) == ["a", "b", "c", "d"]
+        assert 1 < peak[0] <= 3
+
+
+class TestParallelMap:
+    def test_order_kept_and_local_items_run_in_calling_thread(self):
+        threads = {}
+
+        def fn(x):
+            threads[x] = threading.get_ident()
+            time.sleep(0.01)
+            return x * 10
+
+        items = list(range(8))
+        got = parallel_map(fn, items, max_workers=3, local=lambda x: x % 2 == 0)
+        assert got == [x * 10 for x in items]
+        caller = threading.get_ident()
+        assert all(threads[x] == caller for x in items if x % 2 == 0)
+        assert all(threads[x] != caller for x in items if x % 2 == 1)
+
 
 class TestFixtureEmbedding:
     def test_serves_fixture_vectors(self, tmp_path):
@@ -346,6 +391,89 @@ class TestCachingWrappers:
             t.join()
         assert all(r == results[0] for r in results)
 
+    @staticmethod
+    def _slow_backend(fail_first: bool = False):
+        """LLM and embedder in one: each call sleeps, then counts itself."""
+
+        class SlowBackend:
+            backend_id = "slow"
+            model_id = "slow"
+
+            def __init__(self):
+                self.calls = 0
+                self.lock = threading.Lock()
+
+            def _call(self):
+                time.sleep(0.05)
+                with self.lock:
+                    self.calls += 1
+                    if fail_first and self.calls == 1:
+                        raise BackendError("transient")
+
+            def generate(self, request):
+                self._call()
+                return [ScoredCompletion("chat", -1.0)]
+
+            def embed(self, text):
+                self._call()
+                return EmbeddingVector((0.6, 0.8))
+
+        return SlowBackend()
+
+    @staticmethod
+    def _in_threads(fn, n=6):
+        """Run fn in n threads at once, switching threads often."""
+        results, errors = [], []
+
+        def run():
+            try:
+                results.append(fn())
+            except BackendError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return results, errors
+
+    def test_identical_generates_in_flight_reach_backend_once(self, tmp_path):
+        backend = self._slow_backend()
+        caching = CachingLLM(backend, ResponseCache(tmp_path / "cache"))
+        results, errors = self._in_threads(
+            lambda: caching.generate(GenerationRequest(prompt="P"))
+        )
+        assert backend.calls == 1
+        assert not errors
+        assert results == [[ScoredCompletion("chat", -1.0)]] * 6
+
+    def test_identical_embeds_in_flight_reach_backend_once(self, tmp_path):
+        backend = self._slow_backend()
+        caching = CachingEmbedder(backend, ResponseCache(tmp_path / "cache"))
+        results, errors = self._in_threads(lambda: caching.embed("x"))
+        assert backend.calls == 1
+        assert not errors
+        assert results == [EmbeddingVector((0.6, 0.8))] * 6
+
+    def test_failure_is_not_shared_with_waiters(self, tmp_path):
+        backend = self._slow_backend(fail_first=True)
+        caching = CachingLLM(backend, ResponseCache(tmp_path / "cache"))
+        results, errors = self._in_threads(
+            lambda: caching.generate(GenerationRequest(prompt="P"))
+        )
+        # the failed call is not cached: the next waiter calls again and
+        # the rest read its cached result
+        assert backend.calls == 2
+        assert len(errors) == 1
+        assert len(results) == 5
+
 
 # --------------------------------------------------------------------------
 # HTTP backend against a local stub server
@@ -354,6 +482,7 @@ class TestCachingWrappers:
 
 class _StubHandler(BaseHTTPRequestHandler):
     fail_next = 0
+    fail_status = 503
     requests_seen: list = []
 
     def do_POST(self):
@@ -362,7 +491,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         type(self).requests_seen.append((self.path, body))
         if type(self).fail_next > 0:
             type(self).fail_next -= 1
-            self.send_response(503)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
         if self.path.endswith("/completions"):
@@ -391,12 +520,14 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     _StubHandler.fail_next = 0
+    _StubHandler.fail_status = 503
     _StubHandler.requests_seen = []
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -439,6 +570,22 @@ class TestHttpBackend:
         backend = HttpLLMBackend(stub_server, "test-model", api_key="k")
         with pytest.raises(BackendError, match="failed after 3 attempts"):
             backend.generate(GenerationRequest(prompt="p"))
+
+    def test_4xx_is_rejected_without_retry(self, stub_server, monkeypatch):
+        monkeypatch.setattr(http, "RETRY_BASE_DELAY", 0.0)
+        _StubHandler.fail_next, _StubHandler.fail_status = 1, 400
+        backend = HttpLLMBackend(stub_server, "test-model", api_key="k")
+        with pytest.raises(BackendRejected, match="rejected request \\(400\\)"):
+            backend.generate(GenerationRequest(prompt="p"))
+        assert len(_StubHandler.requests_seen) == 1
+        assert BackendRejected.exit_code == BackendError.exit_code
+
+    def test_5xx_is_retried(self, stub_server, monkeypatch):
+        monkeypatch.setattr(http, "RETRY_BASE_DELAY", 0.0)
+        _StubHandler.fail_next, _StubHandler.fail_status = 1, 500
+        backend = HttpEmbeddingBackend(stub_server, "embed-model", api_key="k")
+        assert backend.embed("bonjour").values == (0.6, 0.8)
+        assert len(_StubHandler.requests_seen) == 2
 
     def test_embeddings_endpoint(self, stub_server):
         backend = HttpEmbeddingBackend(stub_server, "embed-model", api_key="k")

@@ -135,3 +135,15 @@ class TestW2wIO:
         assert [s.copied_through for s in loaded.stats] == [
             s.copied_through for s in corpus.stats
         ]
+
+    def test_round_trip_keeps_copy_through_ratio(self, tmp_path):
+        llm = lexicon_backend(tmp_path, {"gato": "cat"})
+        corpus = build_w2w(
+            ["gato xyzzy.", "gato gato", "12 gato", "!!"], SHOTS, llm, AVA, ZOR
+        )
+        path = tmp_path / "out.jsonl"
+        write_w2w(path, corpus)
+        loaded = read_w2w(path)
+        assert loaded.stats == corpus.stats
+        assert 0.0 < corpus.copy_through_ratio < 1.0
+        assert loaded.copy_through_ratio == corpus.copy_through_ratio

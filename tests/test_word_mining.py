@@ -243,6 +243,9 @@ class FixedScorer:
     def sim(self, x, y):
         return self.table[(x, y)]
 
+    def sims(self, pairs):
+        return [self.sim(x, y) for x, y in pairs]
+
 
 class TestRankAndSelect:
     def test_sorts_and_truncates(self):
