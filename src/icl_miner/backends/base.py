@@ -237,3 +237,27 @@ def parallel_map(
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         fetched = iter(list(pool.map(fn, remote)))
     return [fn(item) if h else next(fetched) for item, h in zip(items, here)]
+
+
+def generate_each(
+    llm: LLMBackend, requests: Sequence[GenerationRequest], max_workers: int = 1
+) -> "list[list[ScoredCompletion] | BackendError]":
+    """Completions per request, in order, or the BackendError it raised.
+
+    Each distinct request is sent once, with up to max_workers in flight.
+    Requests a caching wrapper already holds (its `cached`) are answered
+    in the calling thread; a raw backend has no cache to ask.
+    """
+
+    def fetch(request: GenerationRequest):
+        try:
+            return llm.generate(request)
+        except BackendError as exc:
+            return exc
+
+    distinct = list(dict.fromkeys(requests))
+    results = parallel_map(
+        fetch, distinct, max_workers, local=getattr(llm, "cached", None)
+    )
+    by_request = dict(zip(distinct, results))
+    return [by_request[request] for request in requests]

@@ -1,8 +1,9 @@
 """Okapi BM25 ranking over small candidate sets.
 
-Indexes are built per query over a filtered candidate pool (hundreds of
-documents at most), so construction favors simplicity over incremental
-updates. The idf uses the non-negative Lucene variant,
+An index is built once per candidate set (the similarity-filtered pool,
+hundreds of documents at most) and then scores every query against it, so
+construction favors simplicity over incremental updates. The idf uses the
+non-negative Lucene variant,
 
     idf(t) = ln((N - df(t) + 0.5) / (df(t) + 0.5) + 1)
 
@@ -34,12 +35,6 @@ class Bm25Params:
     k1: float = 1.5
     b: float = 0.75
 
-    def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise DataError(f"BM25 k1 must be non-negative (got {self.k1})")
-        if not 0.0 <= self.b <= 1.0:
-            raise DataError(f"BM25 b must be in [0, 1] (got {self.b})")
-
 
 @dataclass(frozen=True)
 class Bm25Index:
@@ -55,23 +50,12 @@ class Bm25Index:
 
 
 def build_index(
-    docs: "list[str] | tuple[str, ...]",
-    params: Bm25Params = Bm25Params(),
-    pretokenized: "list[list[str]] | None" = None,
+    docs: "list[str] | tuple[str, ...]", params: Bm25Params = Bm25Params()
 ) -> Bm25Index:
-    """Compute document statistics for BM25 scoring.
-
-    `pretokenized` lets callers reuse token lists across many per-query
-    indexes over the same pool; when given it must align with `docs`.
-    """
+    """Compute document statistics for BM25 scoring."""
     if not docs:
         raise DataError("BM25 index needs at least one document")
-    if pretokenized is None:
-        token_lists = [tokenize(d) for d in docs]
-    else:
-        if len(pretokenized) != len(docs):
-            raise DataError("pretokenized list does not align with docs")
-        token_lists = pretokenized
+    token_lists = [tokenize(d) for d in docs]
     total_len = sum(len(toks) for toks in token_lists)
     if total_len == 0:
         raise DataError("all documents tokenized to empty; avg_len would be 0")
@@ -108,55 +92,9 @@ def _score_tokens(index: Bm25Index, query_tokens: "list[str]", doc_id: int) -> f
     return total
 
 
-def score(index: Bm25Index, query: str, doc_id: int) -> float:
-    """BM25 score of one document against the query; absent terms add 0."""
-    if not 0 <= doc_id < len(index.documents):
-        raise DataError(f"doc_id {doc_id} out of range (N={len(index.documents)})")
-    return _score_tokens(index, tokenize(query), doc_id)
-
-
 def score_all(index: Bm25Index, query: str) -> list[float]:
-    """Score every document against the query, tokenizing the query once."""
+    """BM25 score of every document, in index order; absent terms add 0."""
     query_tokens = tokenize(query)
     return [
         _score_tokens(index, query_tokens, doc_id) for doc_id in range(len(index))
     ]
-
-
-def top_k(index: Bm25Index, query: str, k: int) -> list[tuple[int, float]]:
-    """The min(k, N) highest-scoring documents, ties broken by ascending doc_id."""
-    if k < 1:
-        raise DataError(f"k must be positive (got {k})")
-    scored = list(enumerate(score_all(index, query)))
-    scored.sort(key=lambda item: -item[1])  # stable: equal scores keep id order
-    return scored[:k]
-
-
-class CachedIndexBuilder:
-    """Index factory that memoizes work shared across per-query builds.
-
-    Candidate sets over one pool repeat (the threshold path often selects
-    the same documents for every query), so whole indexes are memoized by
-    their document tuple, and token lists are reused across differing sets.
-    """
-
-    def __init__(self, params: Bm25Params = Bm25Params()):
-        self.params = params
-        self._tokens: dict[str, list[str]] = {}
-        self._indexes: dict[tuple[str, ...], Bm25Index] = {}
-
-    def __call__(self, docs: "list[str] | tuple[str, ...]") -> Bm25Index:
-        key = tuple(docs)
-        index = self._indexes.get(key)
-        if index is not None:
-            return index
-        pretokenized = []
-        for doc in docs:
-            toks = self._tokens.get(doc)
-            if toks is None:
-                toks = tokenize(doc)
-                self._tokens[doc] = toks
-            pretokenized.append(toks)
-        index = build_index(docs, self.params, pretokenized=pretokenized)
-        self._indexes[key] = index
-        return index

@@ -9,7 +9,7 @@ import argparse
 import logging
 import sys
 
-from .config import KNOWN_POLICIES, load_config
+from .config import POLICIES, load_config
 from .errors import MinerError
 from .pipeline import Pipeline, RunLock
 
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--policy",
         action="append",
-        choices=KNOWN_POLICIES,
+        choices=tuple(POLICIES),
         help="policy to run (repeatable; default: configured policies)",
     )
 
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--policy",
         action="append",
-        choices=KNOWN_POLICIES,
+        choices=tuple(POLICIES),
         help="restrict which translators run",
     )
 
@@ -112,6 +112,8 @@ def _run(args: argparse.Namespace) -> int:
             print(f"pool: {pool_path} ({len(read_pool(pool_path))} pairs)")
         elif args.command == "translate":
             policies = tuple(args.policy) if args.policy else config.effective_policies()
+            for policy in policies:  # reject a policy before any stage runs
+                config.policy(policy)
             for policy in policies:
                 hyp = pipeline.translate(policy)
                 print(f"{policy}: {hyp}")

@@ -26,15 +26,31 @@ DEFAULTS = {
     "iterations": 1,
 }
 
-KNOWN_POLICIES = (
-    "zero_shot",
-    "uw2w",
-    "random",
-    "topk",
-    "topk_bm25",
-    "gold_kshot",
-    "gold_bm25",
-)
+
+@dataclass(frozen=True)
+class Policy:
+    """Where a translation policy takes its in-context examples from."""
+
+    pool: str  # none | mined | gold
+    selector: str  # none | first_k | top_k | top_k_bm25
+    needs_lexicon: bool = False  # renders the test set word by word
+
+    @property
+    def ranked(self) -> bool:
+        """Selections come best first, so shot_order can reverse them."""
+        return self.selector in ("top_k", "top_k_bm25")
+
+
+# every policy, in report order
+POLICIES = {
+    "zero_shot": Policy(pool="none", selector="none"),
+    "uw2w": Policy(pool="none", selector="none", needs_lexicon=True),
+    "random": Policy(pool="mined", selector="first_k"),
+    "topk": Policy(pool="mined", selector="top_k"),
+    "topk_bm25": Policy(pool="mined", selector="top_k_bm25"),
+    "gold_kshot": Policy(pool="gold", selector="first_k"),
+    "gold_bm25": Policy(pool="gold", selector="top_k_bm25"),
+}
 
 # fields that do not influence artifact bytes and stay out of the run hash
 PLUMBING_FIELDS = {"output_dir", "cache_dir", "concurrency"}
@@ -129,10 +145,25 @@ class PipelineConfig:
     def effective_policies(self) -> tuple[str, ...]:
         if self.policies:
             return self.policies
-        base = ["zero_shot", "uw2w", "random", "topk", "topk_bm25"]
-        if self.gold_dev_source and self.gold_dev_target:
-            base += ["gold_kshot", "gold_bm25"]
-        return tuple(base)
+        has_gold = bool(self.gold_dev_source and self.gold_dev_target)
+        return tuple(
+            name for name, p in POLICIES.items() if p.pool != "gold" or has_gold
+        )
+
+    def policy(self, name: str) -> Policy:
+        """The table entry of `name`, which this config must be able to run."""
+        policy = POLICIES.get(name)
+        if policy is None:
+            raise ConfigError(
+                f"unknown policy {name!r}; expected one of {tuple(POLICIES)}"
+            )
+        has_gold = bool(self.gold_dev_source and self.gold_dev_target)
+        if policy.pool == "gold" and not has_gold:
+            raise ConfigError(
+                f"policy {name!r} needs paths.gold_dev_source and "
+                "paths.gold_dev_target"
+            )
+        return policy
 
     def validate(self) -> None:
         """Check field ranges and that every referenced path exists."""
@@ -192,19 +223,14 @@ class PipelineConfig:
             raise ConfigError("mining.shot_order must be best_last or best_first")
         if self.shot_strategy not in ("first_k", "top_sim"):
             raise ConfigError("mining.shot_strategy must be first_k or top_sim")
+        if self.bm25_k1 < 0:
+            raise ConfigError(f"mining.bm25_k1 must be >= 0 (got {self.bm25_k1})")
+        if not 0.0 <= self.bm25_b <= 1.0:
+            raise ConfigError(f"mining.bm25_b must be in [0, 1] (got {self.bm25_b})")
         if self.concurrency < 1:
             raise ConfigError("backend.concurrency must be >= 1")
-        for policy in self.policies:
-            if policy not in KNOWN_POLICIES:
-                raise ConfigError(
-                    f"unknown policy {policy!r}; expected one of {KNOWN_POLICIES}"
-                )
-        if any(p.startswith("gold") for p in self.effective_policies()):
-            if not (self.gold_dev_source and self.gold_dev_target):
-                raise ConfigError(
-                    "gold policies need paths.gold_dev_source and "
-                    "paths.gold_dev_target"
-                )
+        for name in self.effective_policies():
+            self.policy(name)
 
 
 _SECTION_FIELDS = {

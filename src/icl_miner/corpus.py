@@ -56,29 +56,16 @@ class Vocabulary:
     language: LanguageSpec
     words: tuple[str, ...]
     source_path: str
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _members: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {w: i for i, w in enumerate(self.words)}
-        )
+        object.__setattr__(self, "_members", frozenset(self.words))
 
     def __len__(self) -> int:
         return len(self.words)
 
     def __contains__(self, token: str) -> bool:
-        return normalize_token(token) in self._index
-
-    def rank(self, word: str) -> int:
-        """Position in the frequency order (0 = most frequent)."""
-        return self._index[normalize_token(word)]
-
-    def truncated(self, max_size: int) -> "Vocabulary":
-        return Vocabulary(
-            language=self.language,
-            words=self.words[:max_size],
-            source_path=self.source_path,
-        )
+        return normalize_token(token) in self._members
 
 
 @dataclass(frozen=True)

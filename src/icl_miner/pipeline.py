@@ -32,7 +32,7 @@ from .backends import (
     TrigramHashEmbedder,
     parallel_map,
 )
-from .config import PipelineConfig
+from .config import PipelineConfig, Policy
 from .corpus import (
     LanguageSpec,
     load_monolingual,
@@ -42,18 +42,9 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError
 from .prompts import PromptTemplates, sentence_translation_prompt
-from .sentence_mining import (
-    MinedPool,
-    SelectionPolicy,
-    SentencePair,
-    select_random,
-    select_topk,
-    select_topk_bm25_with_audit,
-)
+from .sentence_mining import MinedPool, SentencePair
 
 log = logging.getLogger(__name__)
-
-RANKED_POLICIES = {"topk", "topk_bm25", "gold_bm25"}
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -121,9 +112,6 @@ class Pipeline:
         self.llm = CachingLLM(self._raw_llm, cache)
         self.embedder = CachingEmbedder(self._make_embedder(), cache)
         self.scorer = SimilarityScorer(self.embedder, max_workers=config.concurrency)
-        self.index_builder = bm25.CachedIndexBuilder(
-            bm25.Bm25Params(k1=config.bm25_k1, b=config.bm25_b)
-        )
         self._mining_config = word_mining.MiningConfig(
             n=config.n,
             k_wp=config.k_wp,
@@ -331,14 +319,6 @@ class Pipeline:
         )
         return MinedPool(pairs=pairs)
 
-    def _shots_for_prompt(
-        self, policy: str, selected: Sequence[SentencePair]
-    ) -> list[tuple[str, str]]:
-        shots = [pair.as_shot() for pair in selected]
-        if policy in RANKED_POLICIES and self.config.shot_order == "best_last":
-            shots.reverse()
-        return shots
-
     def _translation_request(self, sentence: str, shots) -> GenerationRequest:
         prompt = sentence_translation_prompt(
             sentence,
@@ -380,82 +360,91 @@ class Pipeline:
             hypotheses.append(completions[0].text if completions else "")
         return hypotheses
 
+    def _selections(
+        self, policy: str, spec: Policy, sources: Sequence[str]
+    ) -> tuple[list[list[tuple[str, str]]], list[dict]]:
+        """Shots and audit record per test sentence, in order.
+
+        Work that does not depend on the query (the similarity order, the
+        BM25 candidates and their index) is done once, before the loop;
+        the selectors are looked up in `sentence_mining` at call time.
+        """
+        cfg = self.config
+        if spec.selector == "none":
+            return [[] for _ in sources], []
+        if spec.pool == "gold":
+            pool = self._gold_pool()
+        else:
+            pool = sentence_mining.read_pool(self.run_dir / "pool.jsonl")
+        if spec.selector == "top_k_bm25":
+            candidates = sentence_mining.bm25_candidates(
+                pool, cfg.k, cfg.tau, cfg.fallback_m,
+                bm25.Bm25Params(k1=cfg.bm25_k1, b=cfg.bm25_b),
+            )
+        shot_lists, records = [], []
+        for query_index, sentence in enumerate(sources):
+            bm25_scores = None
+            if spec.selector == "first_k":
+                selected = sentence_mining.select_random(pool, cfg.k)
+                indices = list(range(len(selected)))
+            elif spec.selector == "top_k":
+                selected = sentence_mining.select_topk(pool, cfg.k)
+                indices = list(pool.by_similarity[: cfg.k])
+            else:
+                selected, audit = sentence_mining.select_topk_bm25_with_audit(
+                    candidates, sentence
+                )
+                indices = list(audit.pool_indices)
+                bm25_scores = list(audit.bm25_scores)
+            shots = [pair.as_shot() for pair in selected]
+            if spec.ranked and cfg.shot_order == "best_last":
+                shots.reverse()
+            shot_lists.append(shots)
+            records.append(
+                {
+                    "query_index": query_index,
+                    "policy": policy,
+                    "selected": indices,
+                    "bm25_scores": bm25_scores,
+                }
+            )
+        return shot_lists, records
+
     def translate(self, policy: str) -> Path:
         """Stage 4: one hypothesis line per test source line, per policy."""
         cfg = self.config
-        if policy not in cfg.effective_policies() and policy not in (
-            "zero_shot", "uw2w", "random", "topk", "topk_bm25",
-            "gold_kshot", "gold_bm25",
-        ):
-            raise ConfigError(f"unknown policy {policy!r}")
+        spec = cfg.policy(policy)
         hyp_path = self.run_dir / f"hyp.{policy}.txt"
         audit_path = self.run_dir / f"audit.{policy}.jsonl"
 
         inputs = {"test_source": cfg.test_source, "test_target": cfg.test_target}
-        needs_pool = policy in ("random", "topk", "topk_bm25")
-        needs_lexicon = policy == "uw2w"
-        if needs_pool:
+        if spec.pool == "mined":
             inputs["pool"] = str(self.mine_sentences())
-        if needs_lexicon:
-            inputs["lexicon"] = str(self.mine_words())
-        if policy.startswith("gold"):
+        if spec.pool == "gold":
             inputs["gold_dev_source"] = cfg.gold_dev_source
             inputs["gold_dev_target"] = cfg.gold_dev_target
+        if spec.needs_lexicon:
+            inputs["lexicon"] = str(self.mine_words())
 
         outputs = [hyp_path]
-        writes_audit = policy not in ("zero_shot", "uw2w")
+        writes_audit = spec.selector != "none"
         if writes_audit:
             outputs.append(audit_path)
         if self._stage_current(f"translate.{policy}", inputs, outputs):
             log.info("translate %s up to date, skipping", policy)
             return hyp_path
 
-        test = self._test_corpus()
-        sources = test.sources
-        audit_records: list[dict] = []
-
-        if policy == "uw2w":
+        sources = self._test_corpus().sources
+        if spec.needs_lexicon:
             shots = word_mining.read_lexicon(self.run_dir / "lexicon.tsv")
             corpus = w2w.build_w2w(
                 list(sources), shots, self.llm, self.source_lang, self.target_lang,
                 self.templates, cfg.max_word_tokens, max_workers=cfg.concurrency,
             )
             hypotheses = [rendering for _, rendering in corpus.pairs]
-        elif policy == "zero_shot":
-            hypotheses = self._translate_all(sources, [[] for _ in sources])
+            audit_records = []
         else:
-            if policy.startswith("gold"):
-                pool = self._gold_pool()
-            else:
-                pool = sentence_mining.read_pool(self.run_dir / "pool.jsonl")
-            bm25_policy = SelectionPolicy(
-                kind="topk_bm25", k=cfg.k, tau=cfg.tau, fallback_m=cfg.fallback_m
-            )
-            shot_lists = []
-            for query_index, sentence in enumerate(sources):
-                bm25_scores = None
-                if policy in ("random", "gold_kshot"):
-                    selected = select_random(pool, cfg.k)
-                    indices = list(range(len(selected)))
-                elif policy == "topk":
-                    selected = select_topk(pool, cfg.k)
-                    by_id = {id(p): i for i, p in enumerate(pool.pairs)}
-                    indices = [by_id[id(p)] for p in selected]
-                else:  # topk_bm25 / gold_bm25
-                    selected, audit = select_topk_bm25_with_audit(
-                        pool, sentence, bm25_policy, self.index_builder
-                    )
-                    indices = list(audit.pool_indices)
-                    bm25_scores = list(audit.bm25_scores)
-                shot_lists.append(self._shots_for_prompt(policy, selected))
-                audit_records.append(
-                    {
-                        "query_index": query_index,
-                        "policy": policy,
-                        "selected": indices,
-                        "bm25_scores": bm25_scores,
-                    }
-                )
+            shot_lists, audit_records = self._selections(policy, spec, sources)
             hypotheses = self._translate_all(sources, shot_lists)
 
         write_lines(hyp_path, hypotheses)
@@ -515,9 +504,10 @@ class Pipeline:
 
     def run_all(self, policies: Sequence[str] | None = None) -> list[metrics.EvalReport]:
         selected = tuple(policies) if policies else self.config.effective_policies()
+        specs = [self.config.policy(policy) for policy in selected]
         self.mine_words()
         self.build_w2w()
-        if any(p in ("random", "topk", "topk_bm25") for p in selected):
+        if any(spec.pool == "mined" for spec in specs):
             self.mine_sentences()
         reports = []
         for policy in selected:

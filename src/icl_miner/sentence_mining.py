@@ -3,11 +3,13 @@
 The unlabeled target-language corpus is translated back into the source
 language with the word-by-word renderings as in-context examples, giving a
 pool of pseudo-parallel pairs scored by cross-lingual embedding similarity.
-Three per-query selection policies pick examples from the pool: Random
-(first k, the reproducible convention), TopK (highest similarity), and
-TopK+BM25 (similarity threshold filter, then lexical BM25 ranking against
-the query, with a top-m fallback when the threshold leaves fewer than k
-candidates).
+Three selectors pick examples from the pool: Random (first k, the
+reproducible convention), TopK (highest similarity), and TopK+BM25
+(similarity threshold filter, with a top-m fallback when the threshold
+leaves fewer than k candidates, then lexical BM25 ranking against the
+query). Only the BM25 ranking depends on the query: the similarity order
+is computed once per pool, and the filtered candidates and their BM25
+index once per pool and selection constants (`bm25_candidates`).
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import bm25
 from .backends.base import (
@@ -25,7 +28,7 @@ from .backends.base import (
     LLMBackend,
     SimilarityScorer,
     StopCondition,
-    parallel_map,
+    generate_each,
 )
 from .corpus import LanguageSpec, MonolingualCorpus
 from .errors import BackendError, DataError
@@ -70,27 +73,14 @@ class MinedPool:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def require_scored(self) -> None:
+    @cached_property
+    def by_similarity(self) -> tuple[int, ...]:
+        """Pool indices by descending similarity; ties keep pool order."""
         if any(p.similarity is None for p in self.pairs):
             raise DataError("pool is not fully scored")
-
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    kind: str  # random | topk | topk_bm25
-    k: int = 8
-    tau: float = 0.90
-    fallback_m: int = 20
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("random", "topk", "topk_bm25"):
-            raise DataError(f"unknown selection policy {self.kind!r}")
-        if self.k < 1:
-            raise DataError("policy k must be >= 1")
-        if not 0.0 <= self.tau <= 1.0:
-            raise DataError("tau must be in [0, 1]")
-        if self.fallback_m < self.k:
-            raise DataError("fallback_m must be >= k")
+        return tuple(
+            sorted(range(len(self.pairs)), key=lambda i: -self.pairs[i].similarity)
+        )
 
 
 @dataclass(frozen=True)
@@ -162,43 +152,40 @@ def back_translate(
     if not len(d_u):
         raise DataError("unlabeled corpus is empty")
     shot_pairs = [p.as_shot() for p in shots]
-
-    def worker(sentence: str):
-        prompt = sentence_translation_prompt(
-            sentence,
-            target_lang.display_name,
-            source_lang.display_name,
-            shot_pairs,
-            templates,
-        )
-        request = GenerationRequest(
-            prompt=prompt,
+    # one prompt per distinct sentence: a corpus may repeat sentences
+    request_of = {
+        sentence: GenerationRequest(
+            prompt=sentence_translation_prompt(
+                sentence,
+                target_lang.display_name,
+                source_lang.display_name,
+                shot_pairs,
+                templates,
+            ),
             num_samples=1,
             mode=decoding,
             stop=StopCondition.at("\n"),
             max_new_tokens=max_sentence_tokens,
         )
-        try:
-            completions = llm.generate(request)
-        except BackendError as exc:
-            log.warning("back-translation failed for %r: %s", sentence[:40], exc)
-            return sentence, None
-        return sentence, completions[0].text if completions else ""
-
-    results = parallel_map(worker, d_u.sentences, max_workers=max_workers)
-    failures = sum(1 for _, text in results if text is None)
+        for sentence in dict.fromkeys(d_u.sentences)
+    }
+    requests = [request_of[sentence] for sentence in d_u.sentences]
+    failures = 0
+    kept: list[tuple[str, str]] = []
+    for sentence, result in zip(
+        d_u.sentences, generate_each(llm, requests, max_workers)
+    ):
+        if isinstance(result, BackendError):
+            log.warning("back-translation failed for %r: %s", sentence[:40], result)
+            failures += 1
+        elif not result or not result[0].text:
+            log.warning("empty back-translation dropped for %r", sentence[:40])
+        else:
+            kept.append((result[0].text, sentence))
     if failures * 2 > len(d_u):
         raise BackendError(
             f"{failures}/{len(d_u)} back-translations failed; aborting"
         )
-    kept: list[tuple[str, str]] = []
-    for sentence, text in results:
-        if text is None:
-            continue
-        if not text:
-            log.warning("empty back-translation dropped for %r", sentence[:40])
-            continue
-        kept.append((text, sentence))
     pairs: list[SentencePair] = []
     for (text, sentence), similarity in zip(kept, scorer.sims(kept)):
         if similarity == 1.0:
@@ -225,68 +212,65 @@ def select_topk(pool: MinedPool, k: int) -> list[SentencePair]:
     """k pairs with the highest similarity, descending; ties keep pool order."""
     if not len(pool):
         raise DataError("pool is empty")
-    pool.require_scored()
-    ranked = sorted(pool.pairs, key=lambda p: -p.similarity)
-    return ranked[:k]
+    return [pool.pairs[i] for i in pool.by_similarity[:k]]
 
 
-def select_topk_bm25_with_audit(
+@dataclass(frozen=True)
+class Bm25Candidates:
+    """The query-independent half of TopK+BM25 selection over one pool.
+
+    `ids` are the candidates' pool indices by descending similarity, ties
+    in pool order; `index` covers their source sides in that order.
+    """
+
+    pool: MinedPool
+    k: int
+    ids: tuple[int, ...]
+    index: bm25.Bm25Index
+    used_fallback: bool
+
+
+def bm25_candidates(
     pool: MinedPool,
-    query: str,
-    policy: SelectionPolicy,
-    index_builder: Callable[[list[str]], bm25.Bm25Index] | None = None,
-) -> tuple[list[SentencePair], SelectionAudit]:
-    """Similarity-threshold filter, then BM25 ranking against the query.
+    k: int,
+    tau: float,
+    fallback_m: int,
+    params: bm25.Bm25Params = bm25.Bm25Params(),
+) -> Bm25Candidates:
+    """Pairs with similarity strictly above tau, indexed for BM25.
 
-    Candidates are pairs with similarity strictly above tau; when fewer
-    than k remain, the top fallback_m pairs by similarity are used instead.
-    The BM25 index covers the candidates' source side. Returned pairs are
-    ordered by descending BM25 score, ties by similarity then pool order.
+    When fewer than k pairs pass the threshold, the top fallback_m pairs
+    by similarity are the candidates instead.
     """
     if not len(pool):
         raise DataError("pool is empty")
+    ids = tuple(i for i in pool.by_similarity if pool.pairs[i].similarity > tau)
+    used_fallback = len(ids) < k
+    if used_fallback:
+        ids = pool.by_similarity[:fallback_m]
+    index = bm25.build_index([pool.pairs[i].source_text for i in ids], params)
+    return Bm25Candidates(pool, k, ids, index, used_fallback)
+
+
+def select_topk_bm25_with_audit(
+    candidates: Bm25Candidates, query: str
+) -> tuple[list[SentencePair], SelectionAudit]:
+    """The k candidates with the highest BM25 score against the query.
+
+    Ties go by similarity, then pool order: the candidates come in that
+    order and the sort is stable.
+    """
     if not query:
         raise DataError("query must be non-empty")
-    pool.require_scored()
-    if index_builder is None:
-        index_builder = bm25.CachedIndexBuilder()
-
-    candidate_ids = [
-        i for i, p in enumerate(pool.pairs) if p.similarity > policy.tau
-    ]
-    used_fallback = len(candidate_ids) < policy.k
-    if used_fallback:
-        by_similarity = sorted(
-            range(len(pool.pairs)), key=lambda i: -pool.pairs[i].similarity
-        )
-        candidate_ids = sorted(by_similarity[: policy.fallback_m])
-
-    docs = [pool.pairs[i].source_text for i in candidate_ids]
-    index = index_builder(docs)
-    scores = bm25.score_all(index, query)
-    # candidates are in pool order, so a stable sort resolves full ties to it
-    ranked = sorted(
-        range(len(docs)),
-        key=lambda j: (-scores[j], -pool.pairs[candidate_ids[j]].similarity),
-    )
-    top = ranked[: policy.k]
-    selected = [pool.pairs[candidate_ids[j]] for j in top]
+    scores = bm25.score_all(candidates.index, query)
+    top = sorted(range(len(scores)), key=lambda j: -scores[j])[: candidates.k]
+    ids = tuple(candidates.ids[j] for j in top)
     audit = SelectionAudit(
-        pool_indices=tuple(candidate_ids[j] for j in top),
+        pool_indices=ids,
         bm25_scores=tuple(scores[j] for j in top),
-        used_fallback=used_fallback,
+        used_fallback=candidates.used_fallback,
     )
-    return selected, audit
-
-
-def select_topk_bm25(
-    pool: MinedPool,
-    query: str,
-    policy: SelectionPolicy,
-    index_builder: Callable[[list[str]], bm25.Bm25Index] | None = None,
-) -> list[SentencePair]:
-    selected, _ = select_topk_bm25_with_audit(pool, query, policy, index_builder)
-    return selected
+    return [candidates.pool.pairs[i] for i in ids], audit
 
 
 def mine_examples(

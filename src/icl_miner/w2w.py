@@ -22,7 +22,7 @@ from .backends.base import (
     GenerationRequest,
     LLMBackend,
     StopCondition,
-    parallel_map,
+    generate_each,
 )
 from .corpus import LanguageSpec
 from .errors import BackendError, DataError
@@ -83,11 +83,7 @@ class W2wTranslator:
         self.max_word_tokens = max_word_tokens
         self._memo: dict[str, tuple[str, bool]] = {}
 
-    def translate(self, word: str) -> tuple[str, bool]:
-        """Translate one word; returns (text, copied_through)."""
-        hit = self._memo.get(word)
-        if hit is not None:
-            return hit
+    def _request(self, word: str) -> GenerationRequest:
         prompt = word_translation_prompt(
             word,
             self.source_lang.display_name,
@@ -95,27 +91,39 @@ class W2wTranslator:
             [p.as_shot() for p in self.shots],
             self.templates,
         )
-        request = GenerationRequest(
+        return GenerationRequest(
             prompt=prompt,
             num_samples=1,
             mode=DecodingMode.greedy(),
             stop=StopCondition.whitespace(),
             max_new_tokens=self.max_word_tokens,
         )
-        try:
-            completions = self.llm.generate(request)
-            text = completions[0].text if completions else ""
-        except BackendError as exc:
-            log.warning("word translation failed for %r: %s", word, exc)
-            text = ""
-        result = (text, False) if text else (word, True)
-        self._memo[word] = result
-        return result
+
+    def _remember(self, word: str, result) -> tuple[str, bool]:
+        """Memoize a `generate_each` result; failed or empty copies through."""
+        text = ""
+        if isinstance(result, BackendError):
+            log.warning("word translation failed for %r: %s", word, result)
+        elif result:
+            text = result[0].text
+        self._memo[word] = (text, False) if text else (word, True)
+        return self._memo[word]
+
+    def translate(self, word: str) -> tuple[str, bool]:
+        """Translate one word; returns (text, copied_through)."""
+        hit = self._memo.get(word)
+        if hit is not None:
+            return hit
+        [result] = generate_each(self.llm, [self._request(word)])
+        return self._remember(word, result)
 
     def warm_up(self, words: Sequence[str], max_workers: int = 1) -> None:
         """Fill the memo for distinct words, possibly concurrently."""
         distinct = [w for w in dict.fromkeys(words) if w not in self._memo]
-        parallel_map(self.translate, distinct, max_workers=max_workers)
+        requests = [self._request(word) for word in distinct]
+        results = generate_each(self.llm, requests, max_workers)
+        for word, result in zip(distinct, results):
+            self._remember(word, result)
 
     def render(self, sentence: str) -> tuple[str, SentenceStats]:
         """Word-by-word rendering; 1:1 token mapping, space-joined."""
@@ -136,25 +144,6 @@ class W2wTranslator:
                 out.append(token)
                 copied += 1
         return " ".join(out), SentenceStats(translated, copied)
-
-
-def translate_word_icl(
-    word: str,
-    shots: Sequence[WordPair],
-    llm: LLMBackend,
-    source_lang: LanguageSpec,
-    target_lang: LanguageSpec,
-    templates: PromptTemplates = PromptTemplates(),
-    max_word_tokens: int = 8,
-) -> str:
-    """One-off k-shot word translation with copy-through fallback."""
-    if any(ch.isspace() for ch in word):
-        raise DataError(f"expected a single word, got {word!r}")
-    translator = W2wTranslator(
-        shots, llm, source_lang, target_lang, templates, max_word_tokens
-    )
-    text, _ = translator.translate(word)
-    return text
 
 
 def build_w2w(

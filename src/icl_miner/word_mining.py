@@ -22,7 +22,7 @@ from .backends.base import (
     LLMBackend,
     SimilarityScorer,
     StopCondition,
-    parallel_map,
+    generate_each,
 )
 from .corpus import LanguageSpec, Vocabulary, normalize_token
 from .errors import BackendError, DataError
@@ -116,27 +116,22 @@ def _translate_words(
     per_word_limit: int,
     max_workers: int,
 ) -> dict[str, tuple[tuple[str, float], ...]]:
-    """Issue one request per word; per-word failures skip the word."""
-
-    def worker(item: tuple[str, str]):
-        word, prompt = item
-        try:
-            completions = llm.generate(request_of(prompt))
-        except BackendError as exc:
-            log.warning("translation failed for %r: %s", word, exc)
-            return word, None
-        return word, _filtered_candidates(completions, filter_vocab, per_word_limit)
-
-    results = parallel_map(worker, zip(words, prompts), max_workers=max_workers)
-    failures = sum(1 for _, candidates in results if candidates is None)
+    """One request per word, distinct ones sent once; a failed word is skipped."""
+    results = generate_each(llm, [request_of(p) for p in prompts], max_workers)
+    failures = 0
+    entries: dict[str, tuple[tuple[str, float], ...]] = {}
+    for word, result in zip(words, results):
+        if isinstance(result, BackendError):
+            log.warning("translation failed for %r: %s", word, result)
+            failures += 1
+            continue
+        candidates = _filtered_candidates(result, filter_vocab, per_word_limit)
+        if candidates:
+            entries[word] = candidates
     if failures * 2 > len(words):
         raise BackendError(
             f"{failures}/{len(words)} word translations failed; aborting"
         )
-    entries: dict[str, tuple[tuple[str, float], ...]] = {}
-    for word, candidates in results:
-        if candidates:
-            entries[word] = candidates
     return entries
 
 

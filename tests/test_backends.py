@@ -31,6 +31,7 @@ from icl_miner.backends import (
     parallel_map,
 )
 from icl_miner.backends import http
+from icl_miner.backends.base import generate_each
 from icl_miner.errors import BackendError, BackendRejected
 
 
@@ -278,6 +279,33 @@ class TestParallelMap:
         assert all(threads[x] != caller for x in items if x % 2 == 1)
 
 
+class TestGenerateEach:
+    def test_distinct_requests_once_and_cache_hits_in_calling_thread(self):
+        calls = []
+
+        class FakeLLM:
+            def cached(self, request):
+                return request.prompt == "hit"
+
+            def generate(self, request):
+                calls.append((request.prompt, threading.get_ident()))
+                time.sleep(0.01)
+                if request.prompt == "bad":
+                    raise BackendError("down")
+                return [ScoredCompletion(request.prompt.upper(), 0.0)]
+
+        prompts = ["hit", "b", "bad", "b", "hit"]
+        got = generate_each(
+            FakeLLM(), [GenerationRequest(prompt=p) for p in prompts], max_workers=2
+        )
+        texts = [r if isinstance(r, BackendError) else r[0].text for r in got]
+        assert texts == ["HIT", "B", got[2], "B", "HIT"]
+        assert isinstance(got[2], BackendError)
+        assert sorted(prompt for prompt, _ in calls) == ["b", "bad", "hit"]
+        caller = threading.get_ident()
+        assert all((thread == caller) == (p == "hit") for p, thread in calls)
+
+
 class TestFixtureEmbedding:
     def test_serves_fixture_vectors(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -523,7 +551,9 @@ def stub_server():
     _StubHandler.fail_status = 503
     _StubHandler.requests_seen = []
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
@@ -559,13 +589,15 @@ class TestHttpBackend:
         assert body["temperature"] == 0.8
         assert body["seed"] == 7
 
-    def test_retries_on_5xx(self, stub_server):
+    def test_retries_on_5xx(self, stub_server, monkeypatch):
+        monkeypatch.setattr(http, "RETRY_BASE_DELAY", 0.0)
         _StubHandler.fail_next = 2
         backend = HttpLLMBackend(stub_server, "test-model", api_key="k")
         completions = backend.generate(GenerationRequest(prompt="p"))
         assert completions  # succeeded on the third attempt
 
-    def test_gives_up_after_retries(self, stub_server):
+    def test_gives_up_after_retries(self, stub_server, monkeypatch):
+        monkeypatch.setattr(http, "RETRY_BASE_DELAY", 0.0)
         _StubHandler.fail_next = 5
         backend = HttpLLMBackend(stub_server, "test-model", api_key="k")
         with pytest.raises(BackendError, match="failed after 3 attempts"):

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from icl_miner.bm25 import (
-    Bm25Params,
-    CachedIndexBuilder,
-    build_index,
-    score,
-    tokenize,
-    top_k,
-)
+from icl_miner.bm25 import build_index, score_all, tokenize
 from icl_miner.errors import DataError
+from icl_miner.sentence_mining import (
+    MinedPool,
+    SentencePair,
+    bm25_candidates,
+    select_topk_bm25_with_audit,
+)
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracle: implements the documented formula directly
@@ -46,6 +45,17 @@ def oracle_top_k(docs: list[str], query: str, k: int) -> list[tuple[int, float]]
     scores = oracle_scores(docs, query)
     order = sorted(range(len(docs)), key=lambda i: (-scores[i], i))
     return [(i, scores[i]) for i in order[:k]]
+
+
+def top_k(docs: list[str], query: str, k: int) -> list[tuple[int, float]]:
+    """BM25 top-k through TopK+BM25 selection.
+
+    With equal similarities and tau 0, every document is a candidate, in
+    doc-id order.
+    """
+    pool = MinedPool(tuple(SentencePair(d, "t", similarity=1.0) for d in docs))
+    _, audit = select_topk_bm25_with_audit(bm25_candidates(pool, k, 0.0, k), query)
+    return list(zip(audit.pool_indices, audit.bm25_scores))
 
 
 WORDS = ["cat", "dog", "bird", "fish", "tree", "rock", "moon", "star", "rain", "wind"]
@@ -104,25 +114,19 @@ class TestBuildIndex:
 class TestScore:
     def test_disjoint_terms_score_zero(self):
         index = build_index(["cat dog", "bird"])
-        assert score(index, "fish tree", 0) == 0.0
+        assert score_all(index, "fish tree") == [0.0, 0.0]
 
     def test_hand_computed_case(self):
         # N=2, docs ["a b","c"], query "a", doc 0; value frozen from the
         # formula oracle in this module's header comment
         index = build_index(["a b", "c"])
-        assert score(index, "a", 0) == pytest.approx(0.6027366787477785, abs=1e-12)
+        assert score_all(index, "a")[0] == pytest.approx(0.6027366787477785, abs=1e-12)
 
     def test_additive_over_disjoint_query_terms(self):
         index = build_index(["cat dog bird fish", "cat cat"])
-        combined = score(index, "cat bird", 0)
-        assert combined == pytest.approx(
-            score(index, "cat", 0) + score(index, "bird", 0), abs=1e-12
-        )
-
-    def test_doc_id_out_of_range(self):
-        index = build_index(["a"])
-        with pytest.raises(DataError):
-            score(index, "a", 5)
+        combined = score_all(index, "cat bird")
+        parts = zip(score_all(index, "cat"), score_all(index, "bird"))
+        assert combined == pytest.approx([a + b for a, b in parts], abs=1e-12)
 
     def test_scores_non_negative_random(self):
         rng = random.Random(5)
@@ -130,20 +134,29 @@ class TestScore:
             docs = random_corpus(rng, max_docs=20, max_tokens=8)
             index = build_index(docs)
             query = " ".join(rng.choices(WORDS, k=3))
-            assert all(score(index, query, i) >= 0.0 for i in range(len(docs)))
+            assert all(s >= 0.0 for s in score_all(index, query))
+
+    def test_matches_bruteforce_oracle(self):
+        rng = random.Random(29)
+        for _ in range(25):
+            docs = random_corpus(rng, max_docs=50, max_tokens=12)
+            index = build_index(docs)
+            for _ in range(5):
+                query = " ".join(rng.choices(WORDS, k=rng.randint(1, 5)))
+                assert score_all(index, query) == pytest.approx(
+                    oracle_scores(docs, query), abs=1e-9
+                )
 
 
 class TestTopK:
     def test_full_ranking_when_k_equals_n(self):
         docs = ["cat cat", "cat dog", "dog dog"]
-        index = build_index(docs)
-        result = top_k(index, "cat", k=3)
+        result = top_k(docs, "cat", k=3)
         assert len(result) == 3
         assert [doc_id for doc_id, _ in result][:2] == [0, 1]
 
     def test_all_zero_scores_keep_id_order(self):
-        index = build_index(["a", "b", "c"])
-        result = top_k(index, "zzz", k=2)
+        result = top_k(["a", "b", "c"], "zzz", k=2)
         assert result == [(0, 0.0), (1, 0.0)]
 
     def test_matches_bruteforce_oracle(self):
@@ -152,8 +165,7 @@ class TestTopK:
             docs = random_corpus(rng, max_docs=50, max_tokens=12)
             query = " ".join(rng.choices(WORDS, k=rng.randint(1, 5)))
             k = rng.randint(1, len(docs))
-            index = build_index(docs)
-            got = top_k(index, query, k)
+            got = top_k(docs, query, k)
             expected = oracle_top_k(docs, query, k)
             assert [doc_id for doc_id, _ in got] == [d for d, _ in expected]
             for (_, got_score), (_, want_score) in zip(got, expected):
@@ -162,9 +174,8 @@ class TestTopK:
     def test_prefix_property(self):
         rng = random.Random(31)
         docs = random_corpus(rng, max_docs=30, max_tokens=10)
-        index = build_index(docs)
-        shorter = top_k(index, "cat dog", k=5)
-        longer = top_k(index, "cat dog", k=6)
+        shorter = top_k(docs, "cat dog", k=5)
+        longer = top_k(docs, "cat dog", k=6)
         assert longer[:5] == shorter
 
 
@@ -182,20 +193,3 @@ def test_adding_a_document_keeps_other_term_freqs(docs, query):
     index_after = build_index(docs + ["cat moon"])
     for i in range(len(docs)):
         assert index_before._term_freqs[i] == index_after._term_freqs[i]
-
-
-def test_params_validation():
-    with pytest.raises(DataError):
-        Bm25Params(k1=-0.1)
-    with pytest.raises(DataError):
-        Bm25Params(b=1.5)
-
-
-def test_cached_builder_matches_plain_build():
-    builder = CachedIndexBuilder()
-    docs = ["cat dog", "dog bird", "cat dog"]
-    via_builder = builder(docs)
-    plain = build_index(docs)
-    assert via_builder.doc_freq == plain.doc_freq
-    assert via_builder.avg_len == plain.avg_len
-    assert score(via_builder, "cat", 0) == score(plain, "cat", 0)

@@ -205,6 +205,29 @@ class TestTranslate:
         assert len(hyp_lines) == len(test_lines)
 
 
+    @pytest.mark.parametrize(
+        "command, policy", [("translate", "gold_kshot"), ("run-all", "gold_bm25")]
+    )
+    def test_gold_policy_without_gold_paths_is_2(
+        self, tmp_path, capsys, command, policy
+    ):
+        # the toy config minus its gold lines and policy list, paths made absolute
+        lines = []
+        for line in TOY_INI.read_text(encoding="utf-8").splitlines():
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key.startswith("gold_dev") or key == "policies":
+                continue
+            lines.append(f"{key} = {TOY / value}" if (TOY / value).is_file() else line)
+        config = tmp_path / "no-gold.ini"
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main([command, "--config", str(config), "--policy", policy,
+                   "--output-dir", str(tmp_path / "out"),
+                   "--cache-dir", str(tmp_path / "cache")])
+        assert rc == 2
+        assert "paths.gold_dev_source" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("run-*/*.tsv"))  # no stage ran
+
+
 class TestResume:
     def test_completed_stage_not_rewritten(self, tmp_path):
         main(toy_args("mine-words", tmp_path))

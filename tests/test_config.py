@@ -90,6 +90,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="tau"):
             config.validate()
 
+    def test_fallback_must_cover_k(self, tmp_path):
+        config = load_config(minimal_ini(tmp_path, mining=["k = 8", "fallback_m = 4"]))
+        with pytest.raises(ConfigError, match="fallback_m"):
+            config.validate()
+
+    def test_bm25_params_validated(self, tmp_path):
+        for line, field in (("bm25_k1 = -0.1", "bm25_k1"), ("bm25_b = 1.5", "bm25_b"),
+                            ("bm25_b = -0.1", "bm25_b")):
+            config = load_config(minimal_ini(tmp_path, mining=[line]))
+            with pytest.raises(ConfigError, match=field):
+                config.validate()
+        for line in ("bm25_k1 = 0", "bm25_b = 0", "bm25_b = 1"):
+            load_config(minimal_ini(tmp_path, mining=[line])).validate()
+
     def test_gold_policy_needs_gold_paths(self, tmp_path):
         config = load_config(minimal_ini(tmp_path, run=["policies = gold_kshot"]))
         with pytest.raises(ConfigError, match="gold"):
@@ -99,6 +113,15 @@ class TestLoadConfig:
         config = load_config(minimal_ini(tmp_path, run=["policies = nearest"]))
         with pytest.raises(ConfigError, match="unknown policy"):
             config.validate()
+
+    def test_policy_outside_config_checked_against_paths(self, tmp_path):
+        config = load_config(minimal_ini(tmp_path))
+        config.validate()
+        assert config.policy("topk_bm25").selector == "top_k_bm25"
+        with pytest.raises(ConfigError, match="paths.gold_dev_source"):
+            config.policy("gold_bm25")
+        with pytest.raises(ConfigError, match="unknown policy"):
+            config.policy("nearest")
 
 
 class TestRunHash:
@@ -130,3 +153,5 @@ class TestRunHash:
         assert config.effective_policies() == (
             "zero_shot", "uw2w", "random", "topk", "topk_bm25"
         )
+        config.gold_dev_source = config.gold_dev_target = str(tmp_path / "mono")
+        assert config.effective_policies()[-2:] == ("gold_kshot", "gold_bm25")

@@ -14,15 +14,14 @@ from icl_miner.errors import DataError
 from icl_miner.prompts import sentence_translation_prompt
 from icl_miner.sentence_mining import (
     MinedPool,
-    SelectionPolicy,
     SentencePair,
     back_translate,
+    bm25_candidates,
     mine_examples,
     read_pool,
     select_backtranslation_shots,
     select_random,
     select_topk,
-    select_topk_bm25,
     select_topk_bm25_with_audit,
     write_pool,
 )
@@ -142,6 +141,18 @@ class TestBackTranslate:
         assert len(pool) == 1
 
 
+    def test_repeated_sentence_sent_once(self, tmp_path):
+        sentences = ["zor a", "zor b", "zor a", "zor a"]
+        llm = backtranslation_backend(
+            tmp_path, sentences, self.shots, lambda s: s.replace("zor", "ava")
+        )
+        d_u = MonolingualCorpus(language=ZOR, sentences=tuple(sentences))
+        pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
+        texts = [p.source_text for p in pool.pairs]
+        assert texts == ["ava a", "ava b", "ava a", "ava a"]
+        assert llm.call_count == 2
+
+
 class TestSelectRandom:
     def test_first_k_convention(self):
         pool = make_pool([0.5] * 10)
@@ -213,40 +224,42 @@ def oracle_bm25_scores(docs, query, k1=1.5, b=0.75):
     return out
 
 
-def oracle_topk_bm25(pool: MinedPool, query: str, policy: SelectionPolicy):
-    candidates = [i for i, p in enumerate(pool.pairs) if p.similarity > policy.tau]
-    if len(candidates) < policy.k:
+def oracle_topk_bm25(pool: MinedPool, query: str, k, tau, fallback_m):
+    candidates = [i for i, p in enumerate(pool.pairs) if p.similarity > tau]
+    if len(candidates) < k:
         order = sorted(
             range(len(pool.pairs)),
             key=lambda i: (-pool.pairs[i].similarity, i),
         )
-        candidates = sorted(order[: policy.fallback_m])
+        candidates = sorted(order[:fallback_m])
     docs = [pool.pairs[i].source_text for i in candidates]
     scores = oracle_bm25_scores(docs, query)
     ranked = sorted(
         range(len(candidates)),
         key=lambda j: (-scores[j], -pool.pairs[candidates[j]].similarity, j),
     )
-    return [candidates[j] for j in ranked[: policy.k]]
+    return [candidates[j] for j in ranked[:k]]
 
 
 WORDS = ["cat", "dog", "bird", "fish", "tree", "rock", "moon", "star"]
+
+
+def select_bm25(pool, query, k, tau=0.9, fallback_m=20):
+    return select_topk_bm25_with_audit(bm25_candidates(pool, k, tau, fallback_m), query)
 
 
 class TestSelectTopkBm25:
     def test_threshold_path_respects_tau(self):
         texts = ["cat cat", "cat dog", "dog dog", "cat bird"]
         pool = make_pool([0.95, 0.2, 0.95, 0.92], texts=texts)
-        policy = SelectionPolicy(kind="topk_bm25", k=2, tau=0.9, fallback_m=3)
-        out, audit = select_topk_bm25_with_audit(pool, "cat", policy)
+        out, audit = select_bm25(pool, "cat", k=2, tau=0.9, fallback_m=3)
         assert not audit.used_fallback
         assert all(p.similarity > 0.9 for p in out)
         assert 1 not in audit.pool_indices  # below-threshold pair excluded
 
     def test_fallback_when_threshold_starves(self):
         pool = make_pool([0.5, 0.6, 0.4, 0.7, 0.3], texts=["cat"] * 5)
-        policy = SelectionPolicy(kind="topk_bm25", k=2, tau=0.9, fallback_m=3)
-        out, audit = select_topk_bm25_with_audit(pool, "cat", policy)
+        out, audit = select_bm25(pool, "cat", k=2, tau=0.9, fallback_m=3)
         assert audit.used_fallback
         # top fallback_m by similarity: indices 3 (0.7), 1 (0.6), 0 (0.5)
         assert set(audit.pool_indices) <= {0, 1, 3}
@@ -255,15 +268,13 @@ class TestSelectTopkBm25:
     def test_tau_zero_is_pure_bm25_over_scored_pool(self):
         texts = ["moon star", "cat dog", "cat cat"]
         pool = make_pool([0.5, 0.6, 0.7], texts=texts)
-        policy = SelectionPolicy(kind="topk_bm25", k=3, tau=0.0, fallback_m=3)
-        out = select_topk_bm25(pool, "cat", policy)
+        out, _ = select_bm25(pool, "cat", k=3, tau=0.0, fallback_m=3)
         assert [p.source_text for p in out] == ["cat cat", "cat dog", "moon star"]
 
     def test_exact_query_match_ranks_first(self):
         texts = ["cat dog bird", "fish tree rock", "moon star cat"]
         pool = make_pool([0.95, 0.95, 0.95], texts=texts)
-        policy = SelectionPolicy(kind="topk_bm25", k=1, tau=0.5, fallback_m=3)
-        out = select_topk_bm25(pool, "fish tree rock", policy)
+        out, _ = select_bm25(pool, "fish tree rock", k=1, tau=0.5, fallback_m=3)
         assert out[0].source_text == "fish tree rock"
 
     def test_matches_bruteforce_oracle(self):
@@ -276,19 +287,22 @@ class TestSelectTopkBm25:
             ]
             pool = make_pool(sims, texts=texts)
             k = rng.randint(1, min(8, size))
-            policy = SelectionPolicy(
-                kind="topk_bm25", k=k, tau=rng.choice([0.0, 0.6, 0.9]),
-                fallback_m=max(k, rng.randint(k, 20)),
-            )
-            query = " ".join(rng.choices(WORDS, k=3))
-            _, audit = select_topk_bm25_with_audit(pool, query, policy)
-            assert list(audit.pool_indices) == oracle_topk_bm25(pool, query, policy)
+            tau = rng.choice([0.0, 0.6, 0.9])
+            fallback_m = max(k, rng.randint(k, 20))
+            # one prepared candidate set serves every query
+            candidates = bm25_candidates(pool, k, tau, fallback_m)
+            for _ in range(10):
+                query = " ".join(rng.choices(WORDS, k=rng.randint(1, 4)))
+                _, audit = select_topk_bm25_with_audit(candidates, query)
+                assert list(audit.pool_indices) == oracle_topk_bm25(
+                    pool, query, k, tau, fallback_m
+                )
 
     def test_pure_function_repeatable(self):
         pool = make_pool([0.95, 0.91, 0.92], texts=["cat", "dog", "cat dog"])
-        policy = SelectionPolicy(kind="topk_bm25", k=2, tau=0.9, fallback_m=2)
-        first = select_topk_bm25(pool, "cat", policy)
-        second = select_topk_bm25(pool, "cat", policy)
+        candidates = bm25_candidates(pool, k=2, tau=0.9, fallback_m=2)
+        first = select_topk_bm25_with_audit(candidates, "cat")
+        second = select_topk_bm25_with_audit(candidates, "cat")
         assert first == second
 
     def test_raising_tau_never_grows_candidates(self):
@@ -300,23 +314,8 @@ class TestSelectTopkBm25:
 
     def test_empty_query_rejected(self):
         pool = make_pool([0.9], texts=["cat"])
-        policy = SelectionPolicy(kind="topk_bm25", k=1)
         with pytest.raises(DataError):
-            select_topk_bm25(pool, "", policy)
-
-
-class TestPolicyValidation:
-    def test_fallback_must_cover_k(self):
-        with pytest.raises(DataError):
-            SelectionPolicy(kind="topk_bm25", k=8, fallback_m=4)
-
-    def test_tau_range(self):
-        with pytest.raises(DataError):
-            SelectionPolicy(kind="topk_bm25", tau=1.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DataError):
-            SelectionPolicy(kind="nearest")
+            select_bm25(pool, "", k=1)
 
 
 class TestMineExamples:

@@ -9,7 +9,7 @@ from icl_miner.corpus import LanguageSpec
 from icl_miner.errors import DataError
 from icl_miner.prompts import word_translation_prompt
 from icl_miner.tokens import segment
-from icl_miner.w2w import W2wTranslator, build_w2w, read_w2w, translate_word_icl, write_w2w
+from icl_miner.w2w import W2wTranslator, build_w2w, read_w2w, write_w2w
 from icl_miner.word_mining import WordPair
 
 AVA = LanguageSpec(code="ava_Latn", display_name="Avalian")
@@ -43,16 +43,14 @@ def lexicon_backend(tmp_path, lexicon: dict[str, str]):
 class TestTranslateWordIcl:
     def test_fixture_trace(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        assert translate_word_icl("gato", SHOTS, llm, AVA, ZOR) == "cat"
+        assert W2wTranslator(SHOTS, llm, AVA, ZOR).translate("gato") == ("cat", False)
 
     def test_unfixtured_word_copies_through(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        assert translate_word_icl("xyzzy", SHOTS, llm, AVA, ZOR) == "xyzzy"
-
-    def test_rejects_multiword_input(self, tmp_path):
-        llm = lexicon_backend(tmp_path, {})
-        with pytest.raises(DataError):
-            translate_word_icl("two words", SHOTS, llm, AVA, ZOR)
+        translator = W2wTranslator(SHOTS, llm, AVA, ZOR)
+        assert translator.translate("xyzzy") == ("xyzzy", True)
+        translator.warm_up(["perro"])
+        assert translator.translate("perro") == ("perro", True)
 
     def test_memoization_single_backend_call(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
