@@ -9,8 +9,9 @@ import pytest
 
 from icl_miner.backends import MockLLMBackend, SimilarityScorer, TrigramHashEmbedder
 from icl_miner.bm25 import tokenize
+from icl_miner.config import PipelineConfig
 from icl_miner.corpus import LanguageSpec, MonolingualCorpus
-from icl_miner.errors import DataError
+from icl_miner.errors import ConfigError, DataError
 from icl_miner.prompts import sentence_translation_prompt
 from icl_miner.sentence_mining import (
     MinedPool,
@@ -316,6 +317,39 @@ class TestSelectTopkBm25:
         pool = make_pool([0.9], texts=["cat"])
         with pytest.raises(DataError):
             select_bm25(pool, "", k=1)
+
+
+class TestPolicyValidation:
+    """The selection constants and policy names are checked by the config
+    that feeds them to the selectors."""
+
+    @staticmethod
+    def _config(tmp_path, **changes):
+        paths = {}
+        for name in ("source_vocab", "target_vocab", "unlabeled",
+                     "test_source", "test_target", "llm_fixture"):
+            path = tmp_path / name
+            path.write_text("word\n", encoding="utf-8")
+            paths[name] = str(path)
+        return PipelineConfig(
+            source_code=AVA.code, target_code=ZOR.code, backend_kind="mock",
+            **paths, **changes,
+        )
+
+    def test_tau_range(self, tmp_path):
+        for tau in (1.5, -0.1):
+            with pytest.raises(ConfigError, match="tau"):
+                self._config(tmp_path, tau=tau).validate()
+        for tau in (0.0, 1.0):
+            self._config(tmp_path, tau=tau).validate()
+
+    def test_unknown_kind(self, tmp_path):
+        config = self._config(tmp_path)
+        config.validate()
+        with pytest.raises(ConfigError, match="unknown policy"):
+            config.policy("nearest")
+        with pytest.raises(ConfigError, match="unknown policy"):
+            self._config(tmp_path, policies=("nearest",)).validate()
 
 
 class TestMineExamples:
