@@ -13,6 +13,13 @@ which keeps scores >= 0 even on tiny candidate sets, and
                   / (f(t,d) + k1 * (1 - b + b * |d| / avg_len))
 
 summed over query term occurrences t (query term multiplicity counts).
+
+The index holds weighted postings: per term, the documents containing it,
+in document order, and beside them each one's whole summand above. Scoring
+starts every document at 0.0 and adds the postings of each query token in
+query order, repeats included. A document's score is therefore the same
+floats summed in the same order as the formula, and documents sharing no
+term with the query are never visited.
 """
 
 from __future__ import annotations
@@ -42,8 +49,11 @@ class Bm25Index:
     doc_freq: dict[str, int]
     avg_len: float
     params: Bm25Params
-    _term_freqs: tuple[Counter, ...] = field(repr=False, compare=False, default=())
-    _idf: dict[str, float] = field(repr=False, compare=False, default_factory=dict)
+    # term -> (doc ids, weights), parallel and in doc order; a weight is the
+    # term's whole BM25 summand for that document
+    postings: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = field(
+        repr=False, compare=False, default_factory=dict
+    )
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -52,7 +62,7 @@ class Bm25Index:
 def build_index(
     docs: "list[str] | tuple[str, ...]", params: Bm25Params = Bm25Params()
 ) -> Bm25Index:
-    """Compute document statistics for BM25 scoring."""
+    """Compute document statistics and weighted postings for BM25 scoring."""
     if not docs:
         raise DataError("BM25 index needs at least one document")
     token_lists = [tokenize(d) for d in docs]
@@ -60,7 +70,7 @@ def build_index(
     if total_len == 0:
         raise DataError("all documents tokenized to empty; avg_len would be 0")
     avg_len = total_len / len(token_lists)
-    term_freqs = tuple(Counter(toks) for toks in token_lists)
+    term_freqs = [Counter(toks) for toks in token_lists]
     doc_freq: Counter = Counter()
     for tf in term_freqs:
         doc_freq.update(tf.keys())
@@ -68,33 +78,32 @@ def build_index(
     idf = {
         t: math.log((n - df + 0.5) / (df + 0.5) + 1.0) for t, df in doc_freq.items()
     }
+    k1, b = params.k1, params.b
+    doc_ids: dict[str, list[int]] = {t: [] for t in doc_freq}
+    weights: dict[str, list[float]] = {t: [] for t in doc_freq}
+    for doc_id, (toks, tf) in enumerate(zip(token_lists, term_freqs)):
+        norm = k1 * (1.0 - b + b * len(toks) / avg_len)
+        for term, f in tf.items():
+            doc_ids[term].append(doc_id)
+            weights[term].append(idf[term] * f * (k1 + 1.0) / (f + norm))
     return Bm25Index(
         documents=tuple(tuple(toks) for toks in token_lists),
         doc_freq=dict(doc_freq),
         avg_len=avg_len,
         params=params,
-        _term_freqs=term_freqs,
-        _idf=idf,
+        postings={t: (tuple(doc_ids[t]), tuple(weights[t])) for t in doc_freq},
     )
 
 
-def _score_tokens(index: Bm25Index, query_tokens: "list[str]", doc_id: int) -> float:
-    tf = index._term_freqs[doc_id]
-    doc_len = len(index.documents[doc_id])
-    k1, b = index.params.k1, index.params.b
-    norm = k1 * (1.0 - b + b * doc_len / index.avg_len)
-    total = 0.0
-    for term in query_tokens:
-        f = tf.get(term, 0)
-        if f == 0:
-            continue
-        total += index._idf[term] * f * (k1 + 1.0) / (f + norm)
-    return total
+_NO_POSTINGS: tuple[tuple[int, ...], tuple[float, ...]] = ((), ())
 
 
 def score_all(index: Bm25Index, query: str) -> list[float]:
     """BM25 score of every document, in index order; absent terms add 0."""
-    query_tokens = tokenize(query)
-    return [
-        _score_tokens(index, query_tokens, doc_id) for doc_id in range(len(index))
-    ]
+    scores = [0.0] * len(index)
+    postings = index.postings
+    for term in tokenize(query):
+        doc_ids, weights = postings.get(term, _NO_POSTINGS)
+        for doc_id, weight in zip(doc_ids, weights):
+            scores[doc_id] += weight
+    return scores

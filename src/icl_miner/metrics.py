@@ -3,7 +3,12 @@
 chrF++ averages precision/recall over character n-grams (default 1..6,
 computed on whitespace-removed text) and word n-grams (default 1..2, over
 punctuation-separated tokens), then combines them with an F-beta (beta=2).
-Orders where either side has no n-grams at all are skipped.
+Orders where either side has no n-grams at all are skipped. Each line is
+normalized and split into words once, and all its n-grams go into one
+Counter: char n-grams are strings and word n-grams are tuples, so a gram's
+kind is its type and its order is its length. Per-order totals follow from
+the line's lengths, and matches come from one pass over the hypothesis
+Counter; the per-order scores are then added in order, char orders first.
 
 BLEU is corpus-level: modified (clipped) n-gram precisions combined by a
 geometric mean with a brevity penalty. Orders whose hypothesis corpus has
@@ -11,7 +16,8 @@ no n-grams of that size are skipped so that identical corpora always score
 100 (short-corpus effective-order rule). The subword tokenizer is a greedy
 longest-match over a user-supplied vocabulary, approximating
 SentencePiece-style subword BLEU; scores are only comparable within one
-tokenizer.
+tokenizer. BLEU, too, counts each line's n-grams, orders 1..N, in one
+Counter.
 """
 
 from __future__ import annotations
@@ -91,11 +97,6 @@ class EvalReport:
         )
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    squeezed = "".join(text.split())
-    return Counter(squeezed[i : i + n] for i in range(len(squeezed) - n + 1))
-
-
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
@@ -104,6 +105,10 @@ def _punct_split_tokens(text: str) -> list[str]:
     """Whitespace tokens with leading/trailing punctuation split off."""
     out: list[str] = []
     for word in text.split():
+        # no alphanumeric code point is punctuation: nothing to split off
+        if word[0].isalnum() and word[-1].isalnum():
+            out.append(word)
+            continue
         head: list[str] = []
         tail: list[str] = []
         while len(word) > 1 and _is_punct(word[0]):
@@ -118,9 +123,29 @@ def _punct_split_tokens(text: str) -> list[str]:
     return out
 
 
-def _word_ngrams(text: str, n: int) -> Counter:
-    toks = _punct_split_tokens(text)
-    return Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
+def _count_ngrams(
+    grams: Counter, items: "str | tuple[str, ...]", min_n: int, max_n: int
+) -> None:
+    """Add every n-gram of ``items``, n = min_n..max_n, to ``grams``.
+
+    N-grams of a string are strings and n-grams of a token tuple are tuples,
+    so the order of a gram is ``len(gram)`` and the two kinds never collide.
+    """
+    size = len(items)
+    for n in range(min_n, max_n + 1):
+        grams.update(items[i : i + n] for i in range(size - n + 1))
+
+
+def _chrf_line(text: str, config: ChrfConfig) -> tuple[Counter, int, int]:
+    """All chrF++ n-grams of one line in one Counter, with its char and word
+    counts."""
+    text = normalize_text(text)
+    chars = "".join(text.split())
+    words = tuple(_punct_split_tokens(text))
+    grams = Counter(chars)  # the char unigrams
+    _count_ngrams(grams, chars, 2, config.char_ngram_max)
+    _count_ngrams(grams, words, 1, config.word_ngram_max)
+    return grams, len(chars), len(words)
 
 
 def chrf_pp(
@@ -136,28 +161,34 @@ def chrf_pp(
     if not hypotheses:
         raise DataError("chrF++: empty corpus")
 
-    orders: list[tuple[str, int]] = [
-        ("char", n) for n in range(1, config.char_ngram_max + 1)
-    ] + [("word", n) for n in range(1, config.word_ngram_max + 1)]
-    # per order: [hypothesis total, reference total, matched]
-    stats = {order: [0, 0, 0] for order in orders}
+    char_max, word_max = config.char_ngram_max, config.word_ngram_max
+    # per order, char 1..char_max then word 1..word_max:
+    # [hypothesis total, reference total, matched]
+    stats = [[0, 0, 0] for _ in range(char_max + word_max)]
 
     for hyp_raw, ref_raw in zip(hypotheses, references):
-        hyp, ref = normalize_text(hyp_raw), normalize_text(ref_raw)
-        for kind, n in orders:
-            extract = _char_ngrams if kind == "char" else _word_ngrams
-            hyp_grams = extract(hyp, n)
-            ref_grams = extract(ref, n)
-            entry = stats[(kind, n)]
-            entry[0] += sum(hyp_grams.values())
-            entry[1] += sum(ref_grams.values())
-            entry[2] += sum((hyp_grams & ref_grams).values())
+        hyp_grams, hyp_chars, hyp_words = _chrf_line(hyp_raw, config)
+        ref_grams, ref_chars, ref_words = _chrf_line(ref_raw, config)
+        for n in range(1, char_max + 1):
+            entry = stats[n - 1]
+            entry[0] += max(hyp_chars - n + 1, 0)
+            entry[1] += max(ref_chars - n + 1, 0)
+        for n in range(1, word_max + 1):
+            entry = stats[char_max + n - 1]
+            entry[0] += max(hyp_words - n + 1, 0)
+            entry[1] += max(ref_words - n + 1, 0)
+        for gram, count in hyp_grams.items():
+            ref_count = ref_grams.get(gram)
+            if ref_count:
+                slot = len(gram) - 1
+                if type(gram) is tuple:
+                    slot += char_max
+                stats[slot][2] += min(count, ref_count)
 
     avg_precision = 0.0
     avg_recall = 0.0
     effective_orders = 0
-    for order in orders:
-        hyp_total, ref_total, matched = stats[order]
+    for hyp_total, ref_total, matched in stats:
         if hyp_total > 0 and ref_total > 0:
             avg_precision += matched / hyp_total
             avg_recall += matched / ref_total
@@ -228,10 +259,6 @@ def resolve_tokenizer(spec: str) -> Tokenizer:
     raise ConfigError(f"unknown BLEU tokenizer {spec!r}")
 
 
-def _token_ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
 def bleu(
     hypotheses: "list[str] | tuple[str, ...]",
     references: "list[str] | tuple[str, ...]",
@@ -252,15 +279,20 @@ def bleu(
     hyp_len = 0
     ref_len = 0
     for hyp_raw, ref_raw in zip(hypotheses, references):
-        hyp_toks = tokenizer(hyp_raw)
-        ref_toks = tokenizer(ref_raw)
+        hyp_toks = tuple(tokenizer(hyp_raw))
+        ref_toks = tuple(tokenizer(ref_raw))
         hyp_len += len(hyp_toks)
         ref_len += len(ref_toks)
+        hyp_grams: Counter = Counter()
+        ref_grams: Counter = Counter()
+        _count_ngrams(hyp_grams, hyp_toks, 1, max_n)
+        _count_ngrams(ref_grams, ref_toks, 1, max_n)
         for n in range(1, max_n + 1):
-            hyp_grams = _token_ngrams(hyp_toks, n)
-            ref_grams = _token_ngrams(ref_toks, n)
-            total[n - 1] += sum(hyp_grams.values())
-            correct[n - 1] += sum((hyp_grams & ref_grams).values())
+            total[n - 1] += max(len(hyp_toks) - n + 1, 0)
+        for gram, count in hyp_grams.items():
+            ref_count = ref_grams.get(gram)
+            if ref_count:
+                correct[len(gram) - 1] += min(count, ref_count)
 
     log_precisions: list[float] = []
     exp_smooth = 1.0

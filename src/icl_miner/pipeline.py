@@ -64,22 +64,48 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 class RunLock:
-    """One process owns a run directory at a time."""
+    """One process owns a run directory at a time.
+
+    The lock file holds the owner's PID. A lock whose owner no longer exists
+    (a killed run) is removed and taken over; a live owner, or a lock file
+    without a readable PID, still rejects the second owner.
+    """
 
     def __init__(self, run_dir: Path):
         self.path = run_dir / ".lock"
 
     def __enter__(self) -> "RunLock":
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"run directory is locked by another process: {self.path}"
-            ) from None
+        for retried in (False, True):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if retried or not self._owner_is_gone():
+                    raise ConfigError(
+                        f"run directory is locked by another process: {self.path}"
+                    ) from None
+                log.warning("removing the lock of an exited run: %s", self.path)
+                self.path.unlink(missing_ok=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()))
         return self
+
+    def _owner_is_gone(self) -> bool:
+        """True only if the lock names a PID that no process has."""
+        try:
+            pid = int(self.path.read_text(encoding="ascii"))
+        except (OSError, ValueError):
+            return False
+        if pid <= 0:
+            return False
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except PermissionError:
+            pass  # alive, owned by another user
+        return False
 
     def __exit__(self, *exc_info) -> None:
         try:

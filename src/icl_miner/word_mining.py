@@ -81,10 +81,6 @@ class MiningConfig:
     max_word_tokens: int = 8
     templates: PromptTemplates = PromptTemplates()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.k_wp < 1:
-            raise DataError("mining constants n and k_wp must be >= 1")
-
 
 def _filtered_candidates(
     completions: Sequence, vocab: Vocabulary, limit: int

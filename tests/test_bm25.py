@@ -59,6 +59,7 @@ def top_k(docs: list[str], query: str, k: int) -> list[tuple[int, float]]:
 
 
 WORDS = ["cat", "dog", "bird", "fish", "tree", "rock", "moon", "star", "rain", "wind"]
+ABSENT = ["zebra", "kite"]  # in no generated document
 
 
 def random_corpus(rng: random.Random, max_docs=200, max_tokens=30) -> list[str]:
@@ -137,15 +138,30 @@ class TestScore:
             assert all(s >= 0.0 for s in score_all(index, query))
 
     def test_matches_bruteforce_oracle(self):
+        # the index adds the same summands in query-token order, so the
+        # floats are equal, not just close
         rng = random.Random(29)
         for _ in range(25):
             docs = random_corpus(rng, max_docs=50, max_tokens=12)
             index = build_index(docs)
             for _ in range(5):
                 query = " ".join(rng.choices(WORDS, k=rng.randint(1, 5)))
-                assert score_all(index, query) == pytest.approx(
-                    oracle_scores(docs, query), abs=1e-9
-                )
+                assert score_all(index, query) == oracle_scores(docs, query)
+
+    def test_repeated_and_absent_query_terms_match_oracle(self):
+        rng = random.Random(37)
+        for _ in range(25):
+            docs = random_corpus(rng, max_docs=50, max_tokens=12)
+            index = build_index(docs)
+            for _ in range(5):
+                terms = rng.choices(WORDS + ABSENT, k=rng.randint(1, 4))
+                query = " ".join(terms + rng.choices(terms, k=rng.randint(1, 4)))
+                assert score_all(index, query) == oracle_scores(docs, query)
+        index = build_index(["cat dog", "dog dog bird"])
+        assert score_all(index, "zebra kite") == [0.0, 0.0]
+        assert score_all(index, "dog zebra dog") == oracle_scores(
+            ["cat dog", "dog dog bird"], "dog zebra dog"
+        )
 
 
 class TestTopK:
@@ -168,8 +184,7 @@ class TestTopK:
             got = top_k(docs, query, k)
             expected = oracle_top_k(docs, query, k)
             assert [doc_id for doc_id, _ in got] == [d for d, _ in expected]
-            for (_, got_score), (_, want_score) in zip(got, expected):
-                assert got_score == pytest.approx(want_score, abs=1e-9)
+            assert [score for _, score in got] == [s for _, s in expected]
 
     def test_prefix_property(self):
         rng = random.Random(31)
@@ -192,4 +207,4 @@ def test_adding_a_document_keeps_other_term_freqs(docs, query):
     index_before = build_index(docs)
     index_after = build_index(docs + ["cat moon"])
     for i in range(len(docs)):
-        assert index_before._term_freqs[i] == index_after._term_freqs[i]
+        assert Counter(index_before.documents[i]) == Counter(index_after.documents[i])

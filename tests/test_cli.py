@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,6 +260,36 @@ class TestRunLock:
             with pytest.raises(ConfigError, match="locked"):
                 with RunLock(pipeline.run_dir):
                     pass
+
+    def test_lock_of_exited_process_reclaimed(self, tmp_path):
+        config = load_config(
+            TOY_INI,
+            {"output_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "c")},
+        )
+        pipeline = Pipeline(config)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=30) == 0
+        lock = pipeline.run_dir / ".lock"
+        lock.parent.mkdir(parents=True)
+        lock.write_text(str(child.pid))  # as a killed run leaves it
+        with RunLock(pipeline.run_dir):
+            assert lock.read_text() == str(os.getpid())
+        assert not lock.exists()
+
+    def test_unreadable_lock_still_rejected(self, tmp_path):
+        config = load_config(
+            TOY_INI,
+            {"output_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "c")},
+        )
+        pipeline = Pipeline(config)
+        lock = pipeline.run_dir / ".lock"
+        lock.parent.mkdir(parents=True)
+        for content in ("", "not a pid", "0"):
+            lock.write_text(content)
+            with pytest.raises(ConfigError, match="locked"):
+                with RunLock(pipeline.run_dir):
+                    pass
+            assert lock.read_text() == content
 
     def test_lock_released_after_exit(self, tmp_path):
         config = load_config(

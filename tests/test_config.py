@@ -104,6 +104,13 @@ class TestLoadConfig:
         for line in ("bm25_k1 = 0", "bm25_b = 0", "bm25_b = 1"):
             load_config(minimal_ini(tmp_path, mining=[line])).validate()
 
+    def test_mining_constants_validated(self, tmp_path):
+        # the one check of n and k_wp; MiningConfig does not repeat it
+        for line, field in (("n = 0", "mining.n"), ("k_wp = 0", "mining.k_wp")):
+            config = load_config(minimal_ini(tmp_path, mining=[line]))
+            with pytest.raises(ConfigError, match=field):
+                config.validate()
+
     def test_gold_policy_needs_gold_paths(self, tmp_path):
         config = load_config(minimal_ini(tmp_path, run=["policies = gold_kshot"]))
         with pytest.raises(ConfigError, match="gold"):

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import math
+import sys
+import unicodedata
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,9 +17,121 @@ from icl_miner.metrics import (
     bleu,
     chrf_pp,
     evaluate_corpus,
+    _is_punct,
     normalize_text,
     resolve_tokenizer,
 )
+
+# ---------------------------------------------------------------------------
+# brute-force oracles: one Counter per order and side, matches by Counter "&"
+# ---------------------------------------------------------------------------
+
+
+def oracle_punct_split_tokens(text: str) -> list[str]:
+    out: list[str] = []
+    for word in text.split():
+        head: list[str] = []
+        tail: list[str] = []
+        while len(word) > 1 and unicodedata.category(word[0]).startswith("P"):
+            head.append(word[0])
+            word = word[1:]
+        while len(word) > 1 and unicodedata.category(word[-1]).startswith("P"):
+            tail.append(word[-1])
+            word = word[:-1]
+        out.extend(head)
+        out.append(word)
+        out.extend(reversed(tail))
+    return out
+
+
+def oracle_char_ngrams(text: str, n: int) -> Counter:
+    squeezed = "".join(text.split())
+    return Counter(squeezed[i : i + n] for i in range(len(squeezed) - n + 1))
+
+
+def oracle_word_ngrams(text: str, n: int) -> Counter:
+    toks = oracle_punct_split_tokens(text)
+    return Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
+
+
+def oracle_chrf_pp(hypotheses, references, config=ChrfConfig()) -> float:
+    orders = [("char", n) for n in range(1, config.char_ngram_max + 1)] + [
+        ("word", n) for n in range(1, config.word_ngram_max + 1)
+    ]
+    stats = {order: [0, 0, 0] for order in orders}
+    for hyp_raw, ref_raw in zip(hypotheses, references):
+        hyp, ref = normalize_text(hyp_raw), normalize_text(ref_raw)
+        for kind, n in orders:
+            extract = oracle_char_ngrams if kind == "char" else oracle_word_ngrams
+            hyp_grams = extract(hyp, n)
+            ref_grams = extract(ref, n)
+            entry = stats[(kind, n)]
+            entry[0] += sum(hyp_grams.values())
+            entry[1] += sum(ref_grams.values())
+            entry[2] += sum((hyp_grams & ref_grams).values())
+    avg_precision = avg_recall = 0.0
+    effective_orders = 0
+    for order in orders:
+        hyp_total, ref_total, matched = stats[order]
+        if hyp_total > 0 and ref_total > 0:
+            avg_precision += matched / hyp_total
+            avg_recall += matched / ref_total
+            effective_orders += 1
+    if effective_orders == 0:
+        return 0.0
+    avg_precision /= effective_orders
+    avg_recall /= effective_orders
+    if avg_precision + avg_recall == 0.0:
+        return 0.0
+    beta_sq = config.beta * config.beta
+    return 100.0 * (
+        (1.0 + beta_sq)
+        * avg_precision
+        * avg_recall
+        / (beta_sq * avg_precision + avg_recall)
+    )
+
+
+def oracle_bleu(hypotheses, references, config=BleuConfig()) -> float:
+    tokenizer = resolve_tokenizer(config.tokenizer)
+    max_n = config.max_ngram
+    correct = [0] * max_n
+    total = [0] * max_n
+    hyp_len = ref_len = 0
+    for hyp_raw, ref_raw in zip(hypotheses, references):
+        hyp_toks = tokenizer(hyp_raw)
+        ref_toks = tokenizer(ref_raw)
+        hyp_len += len(hyp_toks)
+        ref_len += len(ref_toks)
+        for n in range(1, max_n + 1):
+            hyp_grams = Counter(
+                tuple(hyp_toks[i : i + n]) for i in range(len(hyp_toks) - n + 1)
+            )
+            ref_grams = Counter(
+                tuple(ref_toks[i : i + n]) for i in range(len(ref_toks) - n + 1)
+            )
+            total[n - 1] += sum(hyp_grams.values())
+            correct[n - 1] += sum((hyp_grams & ref_grams).values())
+    log_precisions = []
+    exp_smooth = 1.0
+    for n in range(1, max_n + 1):
+        if total[n - 1] == 0:
+            continue
+        if correct[n - 1] > 0:
+            precision = correct[n - 1] / total[n - 1]
+        elif config.smoothing == "epsilon":
+            precision = config.epsilon / total[n - 1]
+        elif config.smoothing == "exp":
+            exp_smooth *= 2.0
+            precision = 1.0 / (exp_smooth * total[n - 1])
+        else:
+            return 0.0
+        log_precisions.append(math.log(precision))
+    if not log_precisions or hyp_len == 0:
+        return 0.0
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(sum(log_precisions) / len(log_precisions))
+
 
 # Golden values below were computed by a straight-from-definition oracle
 # script before this module was implemented, then frozen.
@@ -191,3 +308,48 @@ def test_metrics_bounded(hyps, refs):
 
 def test_normalize_text_collapses_runs():
     assert normalize_text("  a\t b \n c ") == "a b c"
+
+
+# ASCII and non-ASCII letters, digits (one Arabic-Indic), combining marks,
+# punctuation (word-edge and word-internal once joined into words) and a tab
+MIXED_ALPHABET = "abcXYZéßжд文12٣\u0301\u0308.,!?¿«»'-()"
+MIXED_WORD = st.text(alphabet=MIXED_ALPHABET, min_size=1, max_size=6)
+# lines drawn from a small lexicon, so words repeat within and across lines
+MIXED_CORPUS = st.lists(MIXED_WORD, min_size=1, max_size=6).flatmap(
+    lambda lexicon: st.lists(
+        st.lists(st.sampled_from(lexicon), max_size=8).map(" \t".join),
+        min_size=2,
+        max_size=12,
+    )
+)
+
+
+@given(
+    MIXED_CORPUS,
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(["none", "epsilon", "exp"]),
+    st.sampled_from(["whitespace", "char"]),
+)
+def test_scores_equal_bruteforce_oracle(
+    corpus, char_max, word_max, bleu_max, smoothing, tokenizer
+):
+    half = len(corpus) // 2
+    hyps, refs = corpus[:half], corpus[half : 2 * half]
+    chrf_config = ChrfConfig(char_ngram_max=char_max, word_ngram_max=word_max)
+    bleu_config = BleuConfig(
+        max_ngram=bleu_max, smoothing=smoothing, tokenizer=tokenizer
+    )
+    assert chrf_pp(hyps, refs, chrf_config) == oracle_chrf_pp(hyps, refs, chrf_config)
+    assert bleu(hyps, refs, bleu_config) == oracle_bleu(hyps, refs, bleu_config)
+    assert chrf_pp(hyps, hyps) == oracle_chrf_pp(hyps, hyps)
+
+
+def test_no_alphanumeric_code_point_is_punctuation():
+    # the word-splitting fast path keeps a word whole when both its ends
+    # are alphanumeric; that is only right if none of them is punctuation
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        if ch.isalnum():
+            assert not _is_punct(ch), f"U+{code:04X}"
