@@ -251,7 +251,6 @@ def record_fixture() -> None:
         )
         pipeline = Pipeline(config)
         rule_backend = RuleBackend(model_id=config.model or "toy")
-        pipeline._raw_llm = rule_backend
         pipeline.llm = CachingLLM(rule_backend, ResponseCache(f"{scratch}/cache"))
         pipeline.run_all()
 

@@ -57,10 +57,6 @@ class MockLLMBackend:
         with self._lock:
             return self._calls
 
-    def reset_call_count(self) -> None:
-        with self._lock:
-            self._calls = 0
-
     def generate(self, request: GenerationRequest) -> list[ScoredCompletion]:
         with self._lock:
             self._calls += 1

@@ -167,32 +167,18 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Check field ranges and that every referenced path exists."""
-        required = {
-            "languages.source": self.source_code,
-            "languages.target": self.target_code,
-        }
-        for name, value in required.items():
-            if not value:
-                raise ConfigError(f"missing config field: {name}")
-        path_fields = {
-            "paths.source_vocab": self.source_vocab,
-            "paths.target_vocab": self.target_vocab,
-            "paths.unlabeled": self.unlabeled,
-            "paths.test_source": self.test_source,
-            "paths.test_target": self.test_target,
-            "paths.gold_dev_source": self.gold_dev_source,
-            "paths.gold_dev_target": self.gold_dev_target,
-            "paths.w2w_source": self.w2w_source,
-            "backend.llm_fixture": self.llm_fixture,
-            "backend.embedding_fixture": self.embedding_fixture,
-        }
-        for name, value in path_fields.items():
-            if value and not Path(value).exists():
-                raise ConfigError(f"{name}: path does not exist: {value}")
+        for name in ("source_code", "target_code"):
+            if not getattr(self, name):
+                raise ConfigError(f"missing config field: {_KEYS[name]}")
+        checked_paths = _PATH_FIELDS - PLUMBING_FIELDS
+        for name, key in _KEYS.items():
+            value = getattr(self, name)
+            if name in checked_paths and value and not Path(value).exists():
+                raise ConfigError(f"{key}: path does not exist: {value}")
         for name in ("source_vocab", "target_vocab", "unlabeled",
                      "test_source", "test_target"):
             if not getattr(self, name):
-                raise ConfigError(f"missing config field: paths.{name}")
+                raise ConfigError(f"missing config field: {_KEYS[name]}")
         if self.backend_kind not in ("mock", "http"):
             raise ConfigError("backend.kind must be mock or http")
         if self.backend_kind == "mock" and not self.llm_fixture:
@@ -203,14 +189,10 @@ class PipelineConfig:
             raise ConfigError("backend.embedding must be trigram, fixture, or http")
         if self.embedding_kind == "fixture" and not self.embedding_fixture:
             raise ConfigError("backend.embedding_fixture is required")
-        for name, value in (
-            ("mining.n", self.n), ("mining.k_wp", self.k_wp), ("mining.k", self.k),
-            ("mining.fallback_m", self.fallback_m),
-            ("mining.iterations", self.iterations),
-            ("mining.vocab_size", self.vocab_size),
-        ):
+        for name in ("n", "k_wp", "k", "fallback_m", "iterations", "vocab_size"):
+            value = getattr(self, name)
             if value < 1:
-                raise ConfigError(f"{name} must be >= 1 (got {value})")
+                raise ConfigError(f"{_KEYS[name]} must be >= 1 (got {value})")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"mining.tau must be in [0, 1] (got {self.tau})")
         if self.fallback_m < self.k:
@@ -307,14 +289,16 @@ _PATH_FIELDS = {
     "llm_fixture", "embedding_fixture", "cache_dir",
 }
 
-_INT_FIELDS = {
-    "embedding_dim", "concurrency", "n", "k_wp", "k", "fallback_m",
-    "iterations", "vocab_size", "seed", "beam_width", "max_word_tokens",
-    "max_sentence_tokens", "chrf_char_ngram", "chrf_word_ngram",
-    "bleu_max_ngram",
+# the "section.key" name of each field, in _SECTION_FIELDS order
+_KEYS = {
+    field_name: f"{section}.{key}"
+    for section, mapping in _SECTION_FIELDS.items()
+    for key, field_name in mapping.items()
 }
 
-_FLOAT_FIELDS = {"tau", "temperature", "chrf_beta", "bm25_k1", "bm25_b"}
+# annotations are strings under `from __future__ import annotations`
+_INT_FIELDS = {f.name for f in fields(PipelineConfig) if f.type == "int"}
+_FLOAT_FIELDS = {f.name for f in fields(PipelineConfig) if f.type == "float"}
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:

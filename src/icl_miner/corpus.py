@@ -7,10 +7,12 @@ read, output is always written with LF.
 
 from __future__ import annotations
 
+import json
 import logging
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .errors import DataError
 from .langnames import display_name_for
@@ -200,3 +202,11 @@ def write_lines(path: str | Path, lines: "list[str] | tuple[str, ...]") -> None:
         for line in lines:
             fh.write(line)
             fh.write("\n")
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One JSON object per line, keys sorted and non-ASCII text kept as is."""
+    write_lines(
+        path,
+        [json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records],
+    )

@@ -1,10 +1,13 @@
 """Stage orchestration: resumable, manifest-tracked runs under one directory.
 
-Each stage writes its artifact plus a manifest recording input hashes, the
-semantic config, and the backend identity. A stage is skipped when its
-artifact and manifest are present and the recorded hashes still match, so
-an interrupted run resumes where it stopped. The run directory is named by
-the config hash and guarded by a lock file.
+Every stage (word mining, w2w, sentence mining, translation per policy)
+runs through one runner, `Pipeline._stage`. It writes the stage's artifacts
+plus a manifest recording the input hashes, the semantic config, the
+backend, the seed and the output hashes, and skips the stage while that
+record still matches, so an interrupted run resumes where it stopped.
+Evaluation is not a stage: the reference file and the reports are written
+on every evaluation. The run directory is named by the config hash and
+guarded by a lock file.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import bm25, metrics, sentence_mining, w2w, word_mining
 from .backends import (
@@ -30,17 +33,18 @@ from .backends import (
     SimilarityScorer,
     StopCondition,
     TrigramHashEmbedder,
-    parallel_map,
 )
+from .backends.base import generate_each
 from .config import PipelineConfig, Policy
 from .corpus import (
     LanguageSpec,
     load_monolingual,
     load_parallel,
     load_vocabulary,
+    write_jsonl,
     write_lines,
 )
-from .errors import ConfigError, DataError
+from .errors import BackendError, ConfigError, DataError
 from .prompts import PromptTemplates, sentence_translation_prompt
 from .sentence_mining import MinedPool, SentencePair
 
@@ -134,8 +138,7 @@ class Pipeline:
             or PromptTemplates.sentence_header,
         )
         cache = ResponseCache(config.cache_dir)
-        self._raw_llm = self._make_llm()
-        self.llm = CachingLLM(self._raw_llm, cache)
+        self.llm = CachingLLM(self._make_llm(), cache)
         self.embedder = CachingEmbedder(self._make_embedder(), cache)
         self.scorer = SimilarityScorer(self.embedder, max_workers=config.concurrency)
         self._mining_config = word_mining.MiningConfig(
@@ -166,96 +169,81 @@ class Pipeline:
             cfg.embedding_model or cfg.model,
         )
 
-    @property
-    def mock_call_count(self) -> int:
-        if isinstance(self._raw_llm, MockLLMBackend):
-            return self._raw_llm.call_count
-        raise ConfigError("call counting is only available on the mock backend")
-
     def _sentence_decoding(self) -> DecodingMode:
         if self.config.sentence_decoding == "beam":
             return DecodingMode.beam(self.config.beam_width)
         return DecodingMode.greedy()
 
-    # ----------------------------------------------------------- manifests
+    # -------------------------------------------------------------- stages
 
-    def _manifest_path(self, artifact: Path) -> Path:
-        return artifact.with_name(artifact.name + ".manifest.json")
+    def _stage(
+        self,
+        name: str,
+        inputs: dict[str, str],
+        outputs: Sequence[Path],
+        build: Callable[[], None],
+    ) -> None:
+        """Run `build`, which writes `outputs`, unless the stage is current.
 
-    def _build_manifest(self, stage: str, inputs: dict[str, str]) -> dict:
-        return {
-            "stage": stage,
-            "inputs": {name: _sha256_file(path) for name, path in inputs.items()},
+        The stage's manifest, `<first output>.manifest.json`, records the
+        stage name, the hashes of the input files, the semantic config, the
+        backend, the seed and the hashes of the outputs. The stage is current
+        when the recorded manifest equals that record for these inputs and
+        the outputs now on disk; a missing output, a missing manifest or one
+        that is not valid JSON is not current. Writes need no temp file and
+        rename: a half-written artifact or manifest never matches the
+        recorded hashes, so the stage runs again.
+        """
+        manifest_path = outputs[0].with_name(outputs[0].name + ".manifest.json")
+        manifest = {
+            "stage": name,
+            "inputs": {key: _sha256_file(path) for key, path in inputs.items()},
             "constants": self.config.semantic_dict(),
             "backend": {"id": self.llm.backend_id, "model": self.llm.model_id},
             "seed": self.config.seed,
         }
-
-    def _stage_current(
-        self, stage: str, inputs: dict[str, str], outputs: Sequence[Path]
-    ) -> bool:
-        if not all(path.exists() for path in outputs):
-            return False
-        manifest_path = self._manifest_path(outputs[0])
-        if not manifest_path.exists():
-            return False
-        try:
-            recorded = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except ValueError:
-            return False
-        expected = self._build_manifest(stage, inputs)
-        if recorded.get("inputs") != expected["inputs"]:
-            return False
-        if recorded.get("constants") != expected["constants"]:
-            return False
-        recorded_outputs = recorded.get("outputs", {})
-        for path in outputs:
-            if recorded_outputs.get(path.name) != _sha256_file(path):
-                return False
-        return True
-
-    def _write_manifest(
-        self, stage: str, inputs: dict[str, str], outputs: Sequence[Path]
-    ) -> None:
-        manifest = self._build_manifest(stage, inputs)
+        if manifest_path.exists() and all(path.exists() for path in outputs):
+            try:
+                recorded = json.loads(manifest_path.read_text(encoding="utf-8"))
+            except ValueError:
+                recorded = None
+            current = {path.name: _sha256_file(path) for path in outputs}
+            if recorded == {**manifest, "outputs": current}:
+                log.info("%s up to date, skipping", name)
+                return
+        build()
         manifest["outputs"] = {path.name: _sha256_file(path) for path in outputs}
-        _write_json(self._manifest_path(outputs[0]), manifest)
-
-    # -------------------------------------------------------------- stages
+        _write_json(manifest_path, manifest)
 
     def mine_words(self) -> Path:
         """Stage 1: mined word-pair lexicon (zero-shot round plus refinement)."""
         cfg = self.config
         lexicon_path = self.run_dir / "lexicon.tsv"
-        inputs = {
-            "source_vocab": cfg.source_vocab,
-            "target_vocab": cfg.target_vocab,
-        }
-        if self._stage_current("mine_words", inputs, [lexicon_path]):
-            log.info("mine-words up to date, skipping")
-            return lexicon_path
 
-        vocab_src = load_vocabulary(cfg.source_vocab, self.source_lang, cfg.vocab_size)
-        vocab_tgt = load_vocabulary(cfg.target_vocab, self.target_lang, cfg.vocab_size)
-        forward = word_mining.mine_forward(
-            vocab_src, vocab_tgt, self._mining_config, self.llm,
-            max_workers=cfg.concurrency,
-        )
-        backward = word_mining.mine_backward(
-            forward, vocab_src, self._mining_config, self.llm,
-            max_workers=cfg.concurrency,
-        )
-        pairs = word_mining.consistency_filter(forward, backward)
-        if not pairs:
-            raise DataError("word mining produced no consistent pairs")
-        selected = word_mining.rank_and_select(pairs, self.scorer, cfg.k_wp)
-        refined = word_mining.refine_kshot(
-            selected, vocab_src, vocab_tgt, self._mining_config, self.llm,
-            self.scorer, max_workers=cfg.concurrency,
-        )
-        word_mining.write_lexicon(lexicon_path, refined)
-        self._write_manifest("mine_words", inputs, [lexicon_path])
-        log.info("mined %d word pairs -> %s", len(refined), lexicon_path)
+        def build() -> None:
+            vocab_src = load_vocabulary(cfg.source_vocab, self.source_lang, cfg.vocab_size)
+            vocab_tgt = load_vocabulary(cfg.target_vocab, self.target_lang, cfg.vocab_size)
+            forward = word_mining.mine_forward(
+                vocab_src, vocab_tgt, self._mining_config, self.llm,
+                max_workers=cfg.concurrency,
+            )
+            backward = word_mining.mine_backward(
+                forward, vocab_src, self._mining_config, self.llm,
+                max_workers=cfg.concurrency,
+            )
+            pairs = word_mining.consistency_filter(forward, backward)
+            if not pairs:
+                raise DataError("word mining produced no consistent pairs")
+            selected = word_mining.rank_and_select(pairs, self.scorer, cfg.k_wp)
+            refined = word_mining.refine_kshot(
+                selected, vocab_src, vocab_tgt, self._mining_config, self.llm,
+                self.scorer, max_workers=cfg.concurrency,
+            )
+            word_mining.write_lexicon(lexicon_path, refined)
+            log.info("mined %d word pairs -> %s", len(refined), lexicon_path)
+
+        inputs = {"source_vocab": cfg.source_vocab, "target_vocab": cfg.target_vocab}
+        self._stage("mine_words", inputs, [lexicon_path], build)
         return lexicon_path
 
     def build_w2w(self) -> Path:
@@ -264,19 +252,18 @@ class Pipeline:
         w2w_path = self.run_dir / "w2w.jsonl"
         lexicon_path = self.mine_words()
         source_path = cfg.w2w_source or cfg.test_source
-        inputs = {"lexicon": str(lexicon_path), "w2w_source": source_path}
-        if self._stage_current("w2w", inputs, [w2w_path]):
-            log.info("w2w up to date, skipping")
-            return w2w_path
 
-        shots = word_mining.read_lexicon(lexicon_path)
-        sentences = load_monolingual(source_path, self.source_lang).sentences
-        corpus = w2w.build_w2w(
-            sentences, shots, self.llm, self.source_lang, self.target_lang,
-            self.templates, cfg.max_word_tokens, max_workers=cfg.concurrency,
-        )
-        w2w.write_w2w(w2w_path, corpus)
-        self._write_manifest("w2w", inputs, [w2w_path])
+        def build() -> None:
+            shots = word_mining.read_lexicon(lexicon_path)
+            sentences = load_monolingual(source_path, self.source_lang).sentences
+            corpus = w2w.build_w2w(
+                sentences, shots, self.llm, self.source_lang, self.target_lang,
+                self.templates, cfg.max_word_tokens, max_workers=cfg.concurrency,
+            )
+            w2w.write_w2w(w2w_path, corpus)
+
+        inputs = {"lexicon": str(lexicon_path), "w2w_source": source_path}
+        self._stage("w2w", inputs, [w2w_path], build)
         return w2w_path
 
     def mine_sentences(self, auto: bool = True) -> Path:
@@ -290,31 +277,30 @@ class Pipeline:
             )
         pool_path = self.run_dir / "pool.jsonl"
         w2w_path = self.build_w2w()
-        inputs = {"w2w": str(w2w_path), "unlabeled": cfg.unlabeled}
-        if self._stage_current("mine_sentences", inputs, [pool_path]):
-            log.info("mine-sentences up to date, skipping")
-            return pool_path
 
-        d_u = load_monolingual(cfg.unlabeled, self.target_lang)
-        corpus = w2w.read_w2w(w2w_path)
-        pool = sentence_mining.mine_examples(
-            d_u,
-            corpus,
-            cfg.k,
-            self.llm,
-            self.scorer,
-            self.source_lang,
-            self.target_lang,
-            iterations=cfg.iterations,
-            shot_strategy=cfg.shot_strategy,
-            templates=self.templates,
-            decoding=self._sentence_decoding(),
-            max_sentence_tokens=cfg.max_sentence_tokens,
-            max_workers=cfg.concurrency,
-        )
-        sentence_mining.write_pool(pool_path, pool)
-        self._write_manifest("mine_sentences", inputs, [pool_path])
-        log.info("mined pool of %d pairs (<= %d unlabeled)", len(pool), len(d_u))
+        def build() -> None:
+            d_u = load_monolingual(cfg.unlabeled, self.target_lang)
+            corpus = w2w.read_w2w(w2w_path)
+            pool = sentence_mining.mine_examples(
+                d_u,
+                corpus,
+                cfg.k,
+                self.llm,
+                self.scorer,
+                self.source_lang,
+                self.target_lang,
+                iterations=cfg.iterations,
+                shot_strategy=cfg.shot_strategy,
+                templates=self.templates,
+                decoding=self._sentence_decoding(),
+                max_sentence_tokens=cfg.max_sentence_tokens,
+                max_workers=cfg.concurrency,
+            )
+            sentence_mining.write_pool(pool_path, pool)
+            log.info("mined pool of %d pairs (<= %d unlabeled)", len(pool), len(d_u))
+
+        inputs = {"w2w": str(w2w_path), "unlabeled": cfg.unlabeled}
+        self._stage("mine_sentences", inputs, [pool_path], build)
         return pool_path
 
     # ---------------------------------------------------------- translation
@@ -366,21 +352,18 @@ class Pipeline:
     ) -> list[str]:
         """One hypothesis per sentence, in input order.
 
-        Prompts are rendered in order; the generations run with up to
-        `concurrency` requests in flight.
+        The generations run with up to `concurrency` requests in flight; the
+        first failed request, in input order, aborts the stage.
         """
         requests = [
             self._translation_request(sentence, shots)
             for sentence, shots in zip(sentences, shot_lists)
         ]
-        distinct = list(dict.fromkeys(requests))
-        results = parallel_map(
-            self.llm.generate, distinct, self.config.concurrency, local=self.llm.cached
-        )
-        by_request = dict(zip(distinct, results))
+        results = generate_each(self.llm, requests, self.config.concurrency)
         hypotheses = []
-        for sentence, request in zip(sentences, requests):
-            completions = by_request[request]
+        for sentence, completions in zip(sentences, results):
+            if isinstance(completions, BackendError):
+                raise completions
             if not completions:
                 log.warning("empty translation for %r", sentence[:40])
             hypotheses.append(completions[0].text if completions else "")
@@ -452,34 +435,28 @@ class Pipeline:
         if spec.needs_lexicon:
             inputs["lexicon"] = str(self.mine_words())
 
-        outputs = [hyp_path]
         writes_audit = spec.selector != "none"
-        if writes_audit:
-            outputs.append(audit_path)
-        if self._stage_current(f"translate.{policy}", inputs, outputs):
-            log.info("translate %s up to date, skipping", policy)
-            return hyp_path
+        outputs = [hyp_path, audit_path] if writes_audit else [hyp_path]
 
-        sources = self._test_corpus().sources
-        if spec.needs_lexicon:
-            shots = word_mining.read_lexicon(self.run_dir / "lexicon.tsv")
-            corpus = w2w.build_w2w(
-                list(sources), shots, self.llm, self.source_lang, self.target_lang,
-                self.templates, cfg.max_word_tokens, max_workers=cfg.concurrency,
-            )
-            hypotheses = [rendering for _, rendering in corpus.pairs]
-            audit_records = []
-        else:
-            shot_lists, audit_records = self._selections(policy, spec, sources)
-            hypotheses = self._translate_all(sources, shot_lists)
+        def build() -> None:
+            sources = self._test_corpus().sources
+            if spec.needs_lexicon:
+                shots = word_mining.read_lexicon(self.run_dir / "lexicon.tsv")
+                corpus = w2w.build_w2w(
+                    list(sources), shots, self.llm, self.source_lang,
+                    self.target_lang, self.templates, cfg.max_word_tokens,
+                    max_workers=cfg.concurrency,
+                )
+                hypotheses = [rendering for _, rendering in corpus.pairs]
+                audit_records = []
+            else:
+                shot_lists, audit_records = self._selections(policy, spec, sources)
+                hypotheses = self._translate_all(sources, shot_lists)
+            write_lines(hyp_path, hypotheses)
+            if writes_audit:
+                write_jsonl(audit_path, audit_records)
 
-        write_lines(hyp_path, hypotheses)
-        if writes_audit:
-            with audit_path.open("w", encoding="utf-8", newline="\n") as fh:
-                for record in audit_records:
-                    fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-                    fh.write("\n")
-        self._write_manifest(f"translate.{policy}", inputs, outputs)
+        self._stage(f"translate.{policy}", inputs, outputs, build)
         return hyp_path
 
     # ----------------------------------------------------------- evaluation
@@ -517,9 +494,9 @@ class Pipeline:
         hyp_path = self.run_dir / f"hyp.{policy}.txt"
         if not hyp_path.exists():
             raise DataError(f"no hypotheses for policy {policy!r}: {hyp_path}")
+        # no manifest covers the reference, so it is rewritten every time
         ref_path = self.run_dir / "test.ref.txt"
-        if not ref_path.exists():
-            write_lines(ref_path, self._test_corpus().targets)
+        write_lines(ref_path, self._test_corpus().targets)
         report = self.evaluate(hyp_path, ref_path, system=policy)
         _write_json(
             self.run_dir / f"report.{policy}.json", json.loads(report.to_json())

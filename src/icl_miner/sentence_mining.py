@@ -30,7 +30,7 @@ from .backends.base import (
     StopCondition,
     generate_each,
 )
-from .corpus import LanguageSpec, MonolingualCorpus
+from .corpus import LanguageSpec, MonolingualCorpus, write_jsonl
 from .errors import BackendError, DataError
 from .prompts import PromptTemplates, sentence_translation_prompt
 from .w2w import W2wCorpus
@@ -296,21 +296,9 @@ def mine_examples(
     if iterations < 1:
         raise DataError("iterations must be >= 1")
     shots = select_backtranslation_shots(w2w, k, shot_strategy, scorer)
-    pool = back_translate(
-        d_u,
-        shots,
-        llm,
-        scorer,
-        source_lang,
-        target_lang,
-        templates,
-        decoding,
-        max_sentence_tokens,
-        max_workers,
-        iteration=1,
-    )
-    for iteration in range(2, iterations + 1):
-        shots = [p.flipped() for p in select_topk(pool, k)]
+    for iteration in range(1, iterations + 1):
+        if iteration > 1:
+            shots = [p.flipped() for p in select_topk(pool, k)]
         pool = back_translate(
             d_u,
             shots,
@@ -329,24 +317,19 @@ def mine_examples(
 
 def write_pool(path: str | Path, pool: MinedPool) -> None:
     """JSONL records {source, target, sim, origin, iteration}."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", encoding="utf-8", newline="\n") as fh:
-        for pair in pool.pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "source": pair.source_text,
-                        "target": pair.target_text,
-                        "sim": pair.similarity,
-                        "origin": pair.origin,
-                        "iteration": pool.iteration,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_jsonl(
+        path,
+        (
+            {
+                "source": pair.source_text,
+                "target": pair.target_text,
+                "sim": pair.similarity,
+                "origin": pair.origin,
+                "iteration": pool.iteration,
+            }
+            for pair in pool.pairs
+        ),
+    )
 
 
 def read_pool(path: str | Path) -> MinedPool:

@@ -24,7 +24,7 @@ from .backends.base import (
     StopCondition,
     generate_each,
 )
-from .corpus import LanguageSpec
+from .corpus import LanguageSpec, write_jsonl
 from .errors import BackendError, DataError
 from .prompts import PromptTemplates, word_translation_prompt
 from .tokens import segment
@@ -99,31 +99,27 @@ class W2wTranslator:
             max_new_tokens=self.max_word_tokens,
         )
 
-    def _remember(self, word: str, result) -> tuple[str, bool]:
-        """Memoize a `generate_each` result; failed or empty copies through."""
-        text = ""
-        if isinstance(result, BackendError):
-            log.warning("word translation failed for %r: %s", word, result)
-        elif result:
-            text = result[0].text
-        self._memo[word] = (text, False) if text else (word, True)
-        return self._memo[word]
-
     def translate(self, word: str) -> tuple[str, bool]:
         """Translate one word; returns (text, copied_through)."""
-        hit = self._memo.get(word)
-        if hit is not None:
-            return hit
-        [result] = generate_each(self.llm, [self._request(word)])
-        return self._remember(word, result)
+        if word not in self._memo:
+            self.warm_up([word])
+        return self._memo[word]
 
     def warm_up(self, words: Sequence[str], max_workers: int = 1) -> None:
-        """Fill the memo for distinct words, possibly concurrently."""
+        """Fill the memo for distinct words, possibly concurrently.
+
+        A failed or empty translation copies the word through.
+        """
         distinct = [w for w in dict.fromkeys(words) if w not in self._memo]
         requests = [self._request(word) for word in distinct]
         results = generate_each(self.llm, requests, max_workers)
         for word, result in zip(distinct, results):
-            self._remember(word, result)
+            text = ""
+            if isinstance(result, BackendError):
+                log.warning("word translation failed for %r: %s", word, result)
+            elif result:
+                text = result[0].text
+            self._memo[word] = (text, False) if text else (word, True)
 
     def render(self, sentence: str) -> tuple[str, SentenceStats]:
         """Word-by-word rendering; 1:1 token mapping, space-joined."""
@@ -189,22 +185,17 @@ def build_w2w(
 
 def write_w2w(path: str | Path, corpus: W2wCorpus) -> None:
     """JSONL records {source, w2w, copied_through}."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", encoding="utf-8", newline="\n") as fh:
-        for (source, rendering), sentence_stats in zip(corpus.pairs, corpus.stats):
-            fh.write(
-                json.dumps(
-                    {
-                        "source": source,
-                        "w2w": rendering,
-                        "copied_through": sentence_stats.copied_through,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_jsonl(
+        path,
+        (
+            {
+                "source": source,
+                "w2w": rendering,
+                "copied_through": sentence_stats.copied_through,
+            }
+            for (source, rendering), sentence_stats in zip(corpus.pairs, corpus.stats)
+        ),
+    )
 
 
 def read_w2w(path: str | Path, shots: Sequence[WordPair] = ()) -> W2wCorpus:

@@ -125,8 +125,6 @@ class TestMockLLM:
         backend.generate(GenerationRequest(prompt="P"))
         backend.generate(GenerationRequest(prompt="Q"))
         assert backend.call_count == 2
-        backend.reset_call_count()
-        assert backend.call_count == 0
 
     def test_repeated_calls_identical(self, simple_fixture):
         backend = MockLLMBackend(simple_fixture)

@@ -104,7 +104,7 @@ class TestMineWords:
         )
         pipeline = Pipeline(config)
         pipeline.mine_words()
-        assert pipeline.mock_call_count == 0
+        assert pipeline.llm.backend.call_count == 0
 
 
 class TestMineSentences:
@@ -136,7 +136,7 @@ class TestMineSentences:
         with RunLock(pipeline.run_dir):
             pipeline.mine_sentences()
         # tau only affects selection, so all generations came from the cache
-        assert pipeline.mock_call_count == 0
+        assert pipeline.llm.backend.call_count == 0
         manifest = json.loads(
             (pipeline.run_dir / "pool.jsonl.manifest.json").read_text()
         )

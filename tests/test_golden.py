@@ -36,5 +36,5 @@ def test_toy_run_matches_golden_at_concurrency_1_and_8(tmp_path, toy_dir):
         assert sorted(got) == sorted(golden)
         for name, data in golden.items():
             assert got[name] == data, f"{name} differs at concurrency {concurrency}"
-        calls[concurrency] = pipeline.mock_call_count
+        calls[concurrency] = pipeline.llm.backend.call_count
     assert calls[1] == calls[8] > 0

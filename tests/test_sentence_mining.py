@@ -403,7 +403,6 @@ class TestMineExamples:
         d_u, w2w, llm, scorer = self._setup(tmp_path, 1)
         pool = mine_examples(d_u, w2w, 2, llm, scorer, AVA, ZOR, iterations=1)
         shots = select_backtranslation_shots(w2w, 2)
-        llm.reset_call_count()
         direct = back_translate(d_u, shots, llm, scorer, AVA, ZOR)
         assert pool.pairs == direct.pairs
         assert pool.iteration == 1
