@@ -9,6 +9,7 @@ import threading
 import unicodedata
 from pathlib import Path
 
+from ..corpus import read_written_lines
 from ..errors import BackendError
 from .base import (
     EmbeddingVector,
@@ -35,9 +36,7 @@ class MockLLMBackend:
         self._responses: dict[str, list[ScoredCompletion]] = {}
         self._lock = threading.Lock()
         self._calls = 0
-        for lineno, line in enumerate(
-            Path(fixture_path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for lineno, line in enumerate(read_written_lines(fixture_path), start=1):
             if not line.strip():
                 continue
             try:
@@ -77,7 +76,7 @@ class FixtureEmbeddingBackend:
         self.model_id = model_id
         self.fixture_path = str(fixture_path)
         self._vectors: dict[str, EmbeddingVector] = {}
-        for line in Path(fixture_path).read_text(encoding="utf-8").splitlines():
+        for line in read_written_lines(fixture_path):
             if not line.strip():
                 continue
             record = json.loads(line)

@@ -2,7 +2,9 @@
 
 All types are immutable after load and safe to share across workers.
 Text files are UTF-8, one item per line; LF and CRLF are both accepted on
-read, output is always written with LF.
+read, output is always written with LF. Files the program wrote itself are
+read back split at LF only (`read_written_lines`), so an item keeps any
+other line-break character it holds.
 """
 
 from __future__ import annotations
@@ -202,6 +204,19 @@ def write_lines(path: str | Path, lines: "list[str] | tuple[str, ...]") -> None:
         for line in lines:
             fh.write(line)
             fh.write("\n")
+
+
+def read_written_lines(path: str | Path) -> list[str]:
+    """The lines of a file `write_lines` wrote, split at LF only.
+
+    `str.splitlines` would also split at CR, U+0085, U+2028 and the other
+    Unicode line breaks, which generated text and unescaped JSON may hold.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    return lines
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:

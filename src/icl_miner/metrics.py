@@ -18,18 +18,30 @@ longest-match over a user-supplied vocabulary, approximating
 SentencePiece-style subword BLEU; scores are only comparable within one
 tokenizer. BLEU, too, counts each line's n-grams, orders 1..N, in one
 Counter.
+
+Both scores are computed in two steps. `_chrf_stats` and `_bleu_stats` turn
+a slice of line pairs into integer statistics (per-order totals and
+matches, and for BLEU the two lengths); the score is then a float function
+of those integers over the whole corpus. Given a process pool (`pool=`),
+`chrf_pp` and `bleu` split the lines into contiguous chunks, one per CPU,
+score one chunk in this process while the pool's workers score the rest,
+and add the integers up. Integer sums do not depend on the chunking, so a
+score is the same, bit for bit, with or without a pool.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import unicodedata
 from collections import Counter
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .corpus import read_written_lines
 from .errors import ConfigError, DataError
 
 Tokenizer = Callable[[str], list[str]]
@@ -96,6 +108,19 @@ class EvalReport:
             sort_keys=True,
         )
 
+    @classmethod
+    def from_json(cls, text: str) -> "EvalReport":
+        record = json.loads(text)
+        source_code, target_code = record["direction"]
+        return cls(
+            source_code=source_code,
+            target_code=target_code,
+            system=record["system"],
+            chrf_pp=record["chrf_pp"],
+            bleu=record["bleu"],
+            sentence_count=record["sentence_count"],
+        )
+
 
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
@@ -148,24 +173,54 @@ def _chrf_line(text: str, config: ChrfConfig) -> tuple[Counter, int, int]:
     return grams, len(chars), len(words)
 
 
-def chrf_pp(
+def usable_cpus() -> int:
+    """CPUs this process may run on: the number of chunks a pool scores."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _summed_stats(
+    pool: Executor | None,
+    stats: Callable[..., list[int]],
     hypotheses: "list[str] | tuple[str, ...]",
     references: "list[str] | tuple[str, ...]",
-    config: ChrfConfig = ChrfConfig(),
-) -> float:
-    """Corpus chrF++ in [0, 100]."""
-    if len(hypotheses) != len(references):
-        raise DataError(
-            f"chrF++: {len(hypotheses)} hypotheses vs {len(references)} references"
-        )
-    if not hypotheses:
-        raise DataError("chrF++: empty corpus")
+    *args,
+) -> list[int]:
+    """`stats(hypotheses, references, *args)`, over chunks when given a pool.
 
+    With a pool, the line pairs are split into contiguous chunks, one per
+    CPU: the pool's workers score all but the first, this process scores
+    the first meanwhile, and the integer statistics are added up. Integer
+    sums do not depend on the chunking, so neither do the scores.
+    """
+    if pool is None:
+        return stats(hypotheses, references, *args)
+    size, chunks = len(hypotheses), usable_cpus()
+    bounds = [size * i // chunks for i in range(chunks + 1)]
+    spans = [(start, end) for start, end in zip(bounds, bounds[1:]) if start < end]
+    futures = [
+        pool.submit(stats, hypotheses[start:end], references[start:end], *args)
+        for start, end in spans[1:]
+    ]
+    start, end = spans[0]
+    totals = stats(hypotheses[start:end], references[start:end], *args)
+    for future in futures:
+        totals = [a + b for a, b in zip(totals, future.result())]
+    return totals
+
+
+def _chrf_stats(
+    hypotheses: "list[str] | tuple[str, ...]",
+    references: "list[str] | tuple[str, ...]",
+    config: ChrfConfig,
+) -> list[int]:
+    """Integer chrF++ statistics of line pairs: per order, char 1..char_max
+    then word 1..word_max, the hypothesis total, the reference total and
+    the matches, one flat list."""
     char_max, word_max = config.char_ngram_max, config.word_ngram_max
-    # per order, char 1..char_max then word 1..word_max:
-    # [hypothesis total, reference total, matched]
     stats = [[0, 0, 0] for _ in range(char_max + word_max)]
-
     for hyp_raw, ref_raw in zip(hypotheses, references):
         hyp_grams, hyp_chars, hyp_words = _chrf_line(hyp_raw, config)
         ref_grams, ref_chars, ref_words = _chrf_line(ref_raw, config)
@@ -184,11 +239,29 @@ def chrf_pp(
                 if type(gram) is tuple:
                     slot += char_max
                 stats[slot][2] += min(count, ref_count)
+    return [value for entry in stats for value in entry]
+
+
+def chrf_pp(
+    hypotheses: "list[str] | tuple[str, ...]",
+    references: "list[str] | tuple[str, ...]",
+    config: ChrfConfig = ChrfConfig(),
+    *,
+    pool: Executor | None = None,
+) -> float:
+    """Corpus chrF++ in [0, 100]; a process pool shares the counting."""
+    if len(hypotheses) != len(references):
+        raise DataError(
+            f"chrF++: {len(hypotheses)} hypotheses vs {len(references)} references"
+        )
+    if not hypotheses:
+        raise DataError("chrF++: empty corpus")
+    stats = _summed_stats(pool, _chrf_stats, hypotheses, references, config)
 
     avg_precision = 0.0
     avg_recall = 0.0
     effective_orders = 0
-    for hyp_total, ref_total, matched in stats:
+    for hyp_total, ref_total, matched in zip(stats[0::3], stats[1::3], stats[2::3]):
         if hyp_total > 0 and ref_total > 0:
             avg_precision += matched / hyp_total
             avg_recall += matched / ref_total
@@ -249,31 +322,31 @@ class SubwordTokenizer:
         return out
 
 
+def subword_vocab(spec: str) -> str | None:
+    """The vocabulary file that a `subword:<file>` tokenizer spec names."""
+    return spec.split(":", 1)[1] if spec.startswith("subword:") else None
+
+
 def resolve_tokenizer(spec: str) -> Tokenizer:
     if spec == "whitespace":
         return whitespace_tokenizer
     if spec == "char":
         return char_tokenizer
-    if spec.startswith("subword:"):
-        return SubwordTokenizer(spec.split(":", 1)[1])
+    vocab = subword_vocab(spec)
+    if vocab is not None:
+        return SubwordTokenizer(vocab)
     raise ConfigError(f"unknown BLEU tokenizer {spec!r}")
 
 
-def bleu(
+def _bleu_stats(
     hypotheses: "list[str] | tuple[str, ...]",
     references: "list[str] | tuple[str, ...]",
-    config: BleuConfig = BleuConfig(),
-) -> float:
-    """Corpus BLEU in [0, 100] under the configured tokenization."""
-    if len(hypotheses) != len(references):
-        raise DataError(
-            f"BLEU: {len(hypotheses)} hypotheses vs {len(references)} references"
-        )
-    if not hypotheses:
-        raise DataError("BLEU: empty corpus")
-    tokenizer = resolve_tokenizer(config.tokenizer)
-
-    max_n = config.max_ngram
+    tokenizer: Tokenizer,
+    max_n: int,
+) -> list[int]:
+    """Integer BLEU statistics of line pairs: the clipped matches of orders
+    1..max_n, the hypothesis n-grams of orders 1..max_n, then the
+    hypothesis and reference lengths in tokens, one flat list."""
     correct = [0] * max_n
     total = [0] * max_n
     hyp_len = 0
@@ -293,6 +366,30 @@ def bleu(
             ref_count = ref_grams.get(gram)
             if ref_count:
                 correct[len(gram) - 1] += min(count, ref_count)
+    return [*correct, *total, hyp_len, ref_len]
+
+
+def bleu(
+    hypotheses: "list[str] | tuple[str, ...]",
+    references: "list[str] | tuple[str, ...]",
+    config: BleuConfig = BleuConfig(),
+    *,
+    pool: Executor | None = None,
+) -> float:
+    """Corpus BLEU in [0, 100] under the configured tokenization; a process
+    pool shares the counting."""
+    if len(hypotheses) != len(references):
+        raise DataError(
+            f"BLEU: {len(hypotheses)} hypotheses vs {len(references)} references"
+        )
+    if not hypotheses:
+        raise DataError("BLEU: empty corpus")
+    tokenizer = resolve_tokenizer(config.tokenizer)
+
+    max_n = config.max_ngram
+    stats = _summed_stats(pool, _bleu_stats, hypotheses, references, tokenizer, max_n)
+    correct, total = stats[:max_n], stats[max_n : 2 * max_n]
+    hyp_len, ref_len = stats[2 * max_n :]
 
     log_precisions: list[float] = []
     exp_smooth = 1.0
@@ -326,10 +423,16 @@ def evaluate_corpus(
     system: str = "system",
     chrf_config: ChrfConfig = ChrfConfig(),
     bleu_config: BleuConfig = BleuConfig(),
+    *,
+    pool: Executor | None = None,
 ) -> EvalReport:
-    """Score a hypothesis file against a line-aligned reference file."""
-    hyps = Path(hyp_path).read_text(encoding="utf-8").splitlines()
-    refs = Path(ref_path).read_text(encoding="utf-8").splitlines()
+    """Score a hypothesis file against a line-aligned reference file.
+
+    Lines end at LF only, as `write_lines` wrote them: a hypothesis may
+    hold any other line-break character.
+    """
+    hyps = read_written_lines(hyp_path)
+    refs = read_written_lines(ref_path)
     if len(hyps) != len(refs):
         raise DataError(
             f"alignment mismatch: {hyp_path} has {len(hyps)} lines, "
@@ -339,7 +442,7 @@ def evaluate_corpus(
         source_code=source_code,
         target_code=target_code,
         system=system,
-        chrf_pp=chrf_pp(hyps, refs, chrf_config),
-        bleu=bleu(hyps, refs, bleu_config),
+        chrf_pp=chrf_pp(hyps, refs, chrf_config, pool=pool),
+        bleu=bleu(hyps, refs, bleu_config, pool=pool),
         sentence_count=len(hyps),
     )

@@ -1,21 +1,26 @@
 """Stage orchestration: resumable, manifest-tracked runs under one directory.
 
-Every stage (word mining, w2w, sentence mining, translation per policy)
-runs through one runner, `Pipeline._stage`. It writes the stage's artifacts
-plus a manifest recording the input hashes, the semantic config, the
-backend, the seed and the output hashes, and skips the stage while that
-record still matches, so an interrupted run resumes where it stopped.
-Evaluation is not a stage: the reference file and the reports are written
-on every evaluation. The run directory is named by the config hash and
+Every stage (word mining, w2w, sentence mining, translation per policy,
+the reference file and evaluation per policy) runs through one runner,
+`Pipeline._stage`. It writes the stage's artifacts plus a manifest
+recording the input hashes, the semantic config, the backend, the seed and
+the output hashes, and skips the stage while that record still matches, so
+an interrupted run resumes where it stopped and a repeated run rescores
+nothing. `run_all` scores chrF++/BLEU with a pool of forked worker
+processes, one per CPU besides its own, that it shuts down when it
+returns or raises. The run directory is named by the config hash and
 guarded by a lock file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
+from concurrent.futures import Executor, ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -65,6 +70,23 @@ def _write_json(path: Path, payload: dict) -> None:
         json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
     )
+
+
+def _scoring_pool() -> ProcessPoolExecutor | None:
+    """Worker processes that score chrF++/BLEU chunks next to this process.
+
+    One per CPU besides this process's own; None with one CPU or where
+    processes cannot be forked. The workers fork at the first scoring call,
+    and a fork copies only the calling thread. That is safe here because it
+    is the only thread alive: `parallel_map` has joined its worker threads
+    before the stage that started them returns. (`forkserver` and `spawn`
+    would re-run the calling script in each worker, which breaks a script
+    without a `__main__` guard.)
+    """
+    workers = metrics.usable_cpus() - 1
+    if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
 class RunLock:
@@ -477,7 +499,8 @@ class Pipeline:
         )
 
     def evaluate(self, hyp_path: str | Path, ref_path: str | Path,
-                 system: str = "system") -> metrics.EvalReport:
+                 system: str = "system", *,
+                 pool: Executor | None = None) -> metrics.EvalReport:
         chrf_config, bleu_config = self._metric_configs()
         return metrics.evaluate_corpus(
             hyp_path,
@@ -487,21 +510,44 @@ class Pipeline:
             system=system,
             chrf_config=chrf_config,
             bleu_config=bleu_config,
+            pool=pool,
         )
 
-    def evaluate_policy(self, policy: str) -> metrics.EvalReport:
-        """Stage 5: score one policy's hypotheses against the test targets."""
+    def _reference(self) -> Path:
+        """The test targets that the hypotheses align with: blank pairs are
+        dropped, so the sources are an input too."""
+        cfg = self.config
+        ref_path = self.run_dir / "test.ref.txt"
+        inputs = {"test_source": cfg.test_source, "test_target": cfg.test_target}
+        self._stage(
+            "reference", inputs, [ref_path],
+            lambda: write_lines(ref_path, self._test_corpus().targets),
+        )
+        return ref_path
+
+    def evaluate_policy(
+        self, policy: str, *, pool: Executor | None = None
+    ) -> metrics.EvalReport:
+        """Stage 5: score one policy's hypotheses against the test targets.
+
+        `pool`, if given, is a process pool that shares the scoring.
+        """
         hyp_path = self.run_dir / f"hyp.{policy}.txt"
         if not hyp_path.exists():
             raise DataError(f"no hypotheses for policy {policy!r}: {hyp_path}")
-        # no manifest covers the reference, so it is rewritten every time
-        ref_path = self.run_dir / "test.ref.txt"
-        write_lines(ref_path, self._test_corpus().targets)
-        report = self.evaluate(hyp_path, ref_path, system=policy)
-        _write_json(
-            self.run_dir / f"report.{policy}.json", json.loads(report.to_json())
-        )
-        return report
+        ref_path = self._reference()
+        report_path = self.run_dir / f"report.{policy}.json"
+        inputs = {"hypotheses": str(hyp_path), "reference": str(ref_path)}
+        vocab = metrics.subword_vocab(self.config.bleu_tokenizer)
+        if vocab is not None:
+            inputs["subword_vocab"] = vocab
+
+        def build() -> None:
+            report = self.evaluate(hyp_path, ref_path, system=policy, pool=pool)
+            _write_json(report_path, json.loads(report.to_json()))
+
+        self._stage(f"evaluate.{policy}", inputs, [report_path], build)
+        return metrics.EvalReport.from_json(report_path.read_text(encoding="utf-8"))
 
     # --------------------------------------------------------------- run-all
 
@@ -513,9 +559,11 @@ class Pipeline:
         if any(spec.pool == "mined" for spec in specs):
             self.mine_sentences()
         reports = []
-        for policy in selected:
-            self.translate(policy)
-            reports.append(self.evaluate_policy(policy))
+        pool = _scoring_pool()
+        with pool or contextlib.nullcontext():
+            for policy in selected:
+                self.translate(policy)
+                reports.append(self.evaluate_policy(policy, pool=pool))
         write_lines(
             self.run_dir / "report.txt", [report.row() for report in reports]
         )

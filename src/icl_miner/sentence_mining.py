@@ -14,6 +14,7 @@ index once per pool and selection constants (`bm25_candidates`).
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .backends.base import (
     StopCondition,
     generate_each,
 )
-from .corpus import LanguageSpec, MonolingualCorpus, write_jsonl
+from .corpus import LanguageSpec, MonolingualCorpus, read_written_lines, write_jsonl
 from .errors import BackendError, DataError
 from .prompts import PromptTemplates, sentence_translation_prompt
 from .w2w import W2wCorpus
@@ -258,12 +259,13 @@ def select_topk_bm25_with_audit(
     """The k candidates with the highest BM25 score against the query.
 
     Ties go by similarity, then pool order: the candidates come in that
-    order and the sort is stable.
+    order, and `heapq.nlargest` keeps the k best in the order of a stable
+    descending sort without sorting the rest.
     """
     if not query:
         raise DataError("query must be non-empty")
     scores = bm25.score_all(candidates.index, query)
-    top = sorted(range(len(scores)), key=lambda j: -scores[j])[: candidates.k]
+    top = heapq.nlargest(candidates.k, range(len(scores)), key=scores.__getitem__)
     ids = tuple(candidates.ids[j] for j in top)
     audit = SelectionAudit(
         pool_indices=ids,
@@ -335,7 +337,7 @@ def write_pool(path: str | Path, pool: MinedPool) -> None:
 def read_pool(path: str | Path) -> MinedPool:
     pairs: list[SentencePair] = []
     iteration = 1
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_written_lines(path):
         if not line.strip():
             continue
         record = json.loads(line)

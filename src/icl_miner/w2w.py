@@ -24,7 +24,7 @@ from .backends.base import (
     StopCondition,
     generate_each,
 )
-from .corpus import LanguageSpec, write_jsonl
+from .corpus import LanguageSpec, read_written_lines, write_jsonl
 from .errors import BackendError, DataError
 from .prompts import PromptTemplates, word_translation_prompt
 from .tokens import segment
@@ -201,7 +201,7 @@ def write_w2w(path: str | Path, corpus: W2wCorpus) -> None:
 def read_w2w(path: str | Path, shots: Sequence[WordPair] = ()) -> W2wCorpus:
     pairs: list[tuple[str, str]] = []
     stats: list[SentenceStats] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_written_lines(path):
         if not line.strip():
             continue
         record = json.loads(line)

@@ -10,6 +10,7 @@ from icl_miner.corpus import (
     load_parallel,
     load_vocabulary,
     normalize_token,
+    read_written_lines,
     write_lines,
 )
 from icl_miner.errors import DataError
@@ -152,6 +153,19 @@ class TestRoundTrip:
             assert list(corpus.sentences) == sentences
             write_lines(path, corpus.sentences)
             assert load_monolingual(path, lang) == corpus
+
+
+def test_written_lines_split_at_lf_only(tmp_path):
+    lines = [
+        "a\rb", "c\r", "d\x0be\x0cf", "g\x1ch\x1di\x1ej", "k\x85l\u2028m\u2029", "", "n",
+    ]
+    path = tmp_path / "written.txt"
+    write_lines(path, lines)
+    assert read_written_lines(path) == lines
+    write_lines(path, ["x", ""])
+    assert read_written_lines(path) == ["x", ""]
+    write_lines(path, [])
+    assert read_written_lines(path) == []
 
 
 def test_normalize_token_nfc_and_casefold():

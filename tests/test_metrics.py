@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import sys
 import unicodedata
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from icl_miner import metrics
 from icl_miner.errors import ConfigError, DataError
 from icl_miner.metrics import (
     BleuConfig,
@@ -353,3 +357,82 @@ def test_no_alphanumeric_code_point_is_punctuation():
         ch = chr(code)
         if ch.isalnum():
             assert not _is_punct(ch), f"U+{code:04X}"
+
+
+# ---------------------------------------------------------------------------
+# scoring over a process pool: chunks of lines, integer statistics summed
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pool():
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(2, mp_context=context) as executor:
+        yield executor
+
+
+class RecordingPool:
+    """Passes work to a pool and records the size of each chunk sent."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.chunk_sizes: list[int] = []
+
+    def submit(self, fn, hypotheses, *args):
+        self.chunk_sizes.append(len(hypotheses))
+        return self.pool.submit(fn, hypotheses, *args)
+
+
+@given(
+    MIXED_CORPUS,
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=7),
+    st.sampled_from(["none", "epsilon", "exp"]),
+    st.sampled_from(["whitespace", "char"]),
+)
+def test_scores_with_pool_equal_scores_without(
+    pool, corpus, chunks, char_max, smoothing, tokenizer
+):
+    half = len(corpus) // 2
+    hyps, refs = corpus[:half], corpus[half : 2 * half]
+    chrf_config = ChrfConfig(char_ngram_max=char_max)
+    bleu_config = BleuConfig(smoothing=smoothing, tokenizer=tokenizer)
+    with mock.patch.object(metrics, "usable_cpus", lambda: chunks):
+        assert chrf_pp(hyps, refs, chrf_config, pool=pool) == oracle_chrf_pp(
+            hyps, refs, chrf_config
+        )
+        assert bleu(hyps, refs, bleu_config, pool=pool) == oracle_bleu(
+            hyps, refs, bleu_config
+        )
+
+
+@pytest.mark.parametrize(
+    "hyps, refs, chunks, sent",
+    [
+        # more chunks than lines: one line per chunk, the first one kept here
+        (["a b c", "abd x", "c d"], ["abc", "abd y", "d c"], 5, [1, 1]),
+        (["the cat sat"], ["the cat sat down"], 4, []),
+        (["", "", "cat"], ["the cat", "a dog", "cat"], 2, [2]),
+        (["", ""], ["the cat", "a dog"], 3, [1]),
+        (["a", "b", "c", "d", "e", "f", "g"], list("gfedcba"), 3, [2, 3]),
+    ],
+    ids=["fewer-lines-than-chunks", "one-line", "empty-hypotheses",
+         "only-empty-hypotheses", "uneven-chunks"],
+)
+def test_pool_scores_contiguous_chunks(pool, hyps, refs, chunks, sent):
+    recording = RecordingPool(pool)
+    with mock.patch.object(metrics, "usable_cpus", lambda: chunks):
+        assert chrf_pp(hyps, refs, pool=recording) == chrf_pp(hyps, refs)
+        assert bleu(hyps, refs, pool=recording) == bleu(hyps, refs)
+    assert recording.chunk_sizes == sent * 2
+
+
+def test_hypothesis_keeps_unicode_line_breaks(tmp_path):
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_text("a\u2028b\nc\x85d\re\n", encoding="utf-8", newline="")
+    ref.write_text("a b\nc d e\n", encoding="utf-8")
+    report = evaluate_corpus(hyp, ref, "ava_Latn", "zor_Latn")
+    assert report.sentence_count == 2
+    # the other line breaks are whitespace to the metrics
+    assert report.chrf_pp == pytest.approx(100.0, abs=1e-9)
+

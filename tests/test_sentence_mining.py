@@ -4,8 +4,11 @@ import json
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
+
+from icl_miner import bm25
 
 from icl_miner.backends import MockLLMBackend, SimilarityScorer, TrigramHashEmbedder
 from icl_miner.bm25 import tokenize
@@ -14,6 +17,7 @@ from icl_miner.corpus import LanguageSpec, MonolingualCorpus
 from icl_miner.errors import ConfigError, DataError
 from icl_miner.prompts import sentence_translation_prompt
 from icl_miner.sentence_mining import (
+    Bm25Candidates,
     MinedPool,
     SentencePair,
     back_translate,
@@ -299,6 +303,24 @@ class TestSelectTopkBm25:
                     pool, query, k, tau, fallback_m
                 )
 
+    def test_ties_keep_the_order_of_a_stable_full_sort(self):
+        rng = random.Random(23)
+        for _ in range(2000):
+            size = rng.randint(1, 40)
+            pool = make_pool([0.5] * size)
+            # few distinct scores, so most candidates tie with another
+            scores = [rng.choice([0.0, 0.5, 1.25, 2.0]) for _ in range(size)]
+            ids = tuple(rng.sample(range(size), size))
+            k = rng.randint(1, size + 2)
+            index = bm25.build_index([pool.pairs[i].source_text for i in ids])
+            candidates = Bm25Candidates(pool, k, ids, index, False)
+            with mock.patch.object(bm25, "score_all", lambda index, query: scores):
+                out, audit = select_topk_bm25_with_audit(candidates, "query")
+            top = sorted(range(size), key=lambda j: -scores[j])[:k]
+            assert audit.pool_indices == tuple(ids[j] for j in top)
+            assert audit.bm25_scores == tuple(scores[j] for j in top)
+            assert out == [pool.pairs[ids[j]] for j in top]
+
     def test_pure_function_repeatable(self):
         pool = make_pool([0.95, 0.91, 0.92], texts=["cat", "dog", "cat dog"])
         candidates = bm25_candidates(pool, k=2, tau=0.9, fallback_m=2)
@@ -423,6 +445,14 @@ class TestMineExamples:
 class TestPoolIO:
     def test_round_trip(self, tmp_path):
         pool = make_pool([0.25, 0.75], texts=["alpha beta", "gamma"])
+        path = tmp_path / "pool.jsonl"
+        write_pool(path, pool)
+        assert read_pool(path) == pool
+
+    def test_round_trip_keeps_unicode_line_breaks(self, tmp_path):
+        # json.dumps(ensure_ascii=False) leaves these characters unescaped
+        texts = ["alpha\x85beta", "gamma\u2028delta\u2029", "eps\x1cilon\x0b"]
+        pool = make_pool([0.25, 0.75, 0.5], texts=texts)
         path = tmp_path / "pool.jsonl"
         write_pool(path, pool)
         assert read_pool(path) == pool
