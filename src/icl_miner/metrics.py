@@ -24,8 +24,8 @@ a slice of line pairs into integer statistics (per-order totals and
 matches, and for BLEU the two lengths); the score is then a float function
 of those integers over the whole corpus. Given a process pool (`pool=`),
 `chrf_pp` and `bleu` split the lines into contiguous chunks, one per CPU,
-score one chunk in this process while the pool's workers score the rest,
-and add the integers up. Integer sums do not depend on the chunking, so a
+hand every chunk to the pool's workers while this process waits, and add
+the integers up. Integer sums do not depend on the chunking, so a
 score is the same, bit for bit, with or without a pool.
 """
 
@@ -191,22 +191,23 @@ def _summed_stats(
     """`stats(hypotheses, references, *args)`, over chunks when given a pool.
 
     With a pool, the line pairs are split into contiguous chunks, one per
-    CPU: the pool's workers score all but the first, this process scores
-    the first meanwhile, and the integer statistics are added up. Integer
-    sums do not depend on the chunking, so neither do the scores.
+    CPU, the pool's workers score every chunk, and the integer statistics
+    are added up in chunk order. This process only waits: scoring a chunk
+    here would hold the interpreter lock that the executor's threads need
+    to hand the workers theirs. Integer sums do not depend on the chunking,
+    so neither do the scores.
     """
     if pool is None:
         return stats(hypotheses, references, *args)
     size, chunks = len(hypotheses), usable_cpus()
     bounds = [size * i // chunks for i in range(chunks + 1)]
-    spans = [(start, end) for start, end in zip(bounds, bounds[1:]) if start < end]
     futures = [
         pool.submit(stats, hypotheses[start:end], references[start:end], *args)
-        for start, end in spans[1:]
+        for start, end in zip(bounds, bounds[1:])
+        if start < end
     ]
-    start, end = spans[0]
-    totals = stats(hypotheses[start:end], references[start:end], *args)
-    for future in futures:
+    totals = futures[0].result()
+    for future in futures[1:]:
         totals = [a + b for a, b in zip(totals, future.result())]
     return totals
 

@@ -7,9 +7,8 @@ recording the input hashes, the semantic config, the backend, the seed and
 the output hashes, and skips the stage while that record still matches, so
 an interrupted run resumes where it stopped and a repeated run rescores
 nothing. `run_all` scores chrF++/BLEU with a pool of forked worker
-processes, one per CPU besides its own, that it shuts down when it
-returns or raises. The run directory is named by the config hash and
-guarded by a lock file.
+processes, one per CPU, that it shuts down when it returns or raises. The
+run directory is named by the config hash and guarded by a lock file.
 """
 
 from __future__ import annotations
@@ -73,18 +72,19 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _scoring_pool() -> ProcessPoolExecutor | None:
-    """Worker processes that score chrF++/BLEU chunks next to this process.
+    """Worker processes that score every chrF++/BLEU chunk while this
+    process waits.
 
-    One per CPU besides this process's own; None with one CPU or where
-    processes cannot be forked. The workers fork at the first scoring call,
-    and a fork copies only the calling thread. That is safe here because it
-    is the only thread alive: `parallel_map` has joined its worker threads
-    before the stage that started them returns. (`forkserver` and `spawn`
-    would re-run the calling script in each worker, which breaks a script
-    without a `__main__` guard.)
+    One per CPU; None with one CPU or where processes cannot be forked. The
+    workers fork at the first scoring call, and a fork copies only the
+    calling thread. That is safe here because it is the only thread alive:
+    `parallel_map` has joined its worker threads before the stage that
+    started them returns. (`forkserver` and `spawn` would re-run the calling
+    script in each worker, which breaks a script without a `__main__`
+    guard.)
     """
-    workers = metrics.usable_cpus() - 1
-    if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
+    workers = metrics.usable_cpus()
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return None
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 

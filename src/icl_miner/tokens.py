@@ -17,21 +17,22 @@ def _is_word_char(ch: str) -> bool:
 def segment(text: str) -> list[tuple[str, bool]]:
     """Split text into (token, is_word) runs; whitespace is discarded."""
     out: list[tuple[str, bool]] = []
-    buf: list[str] = []
-    buf_is_word = False
-    for ch in text:
-        if ch.isspace():
-            if buf:
+    # `str.split()` splits exactly where `isspace()` holds, and every
+    # alphanumeric code point is a letter or a digit (L*, N*), so an
+    # alphanumeric word is one word token
+    for word in text.split():
+        if word.isalnum():
+            out.append((word, True))
+            continue
+        buf: list[str] = []
+        buf_is_word = False
+        for ch in word:
+            is_word = _is_word_char(ch)
+            if buf and is_word != buf_is_word:
                 out.append(("".join(buf), buf_is_word))
                 buf = []
-            continue
-        is_word = _is_word_char(ch)
-        if buf and is_word != buf_is_word:
-            out.append(("".join(buf), buf_is_word))
-            buf = []
-        buf.append(ch)
-        buf_is_word = is_word
-    if buf:
+            buf.append(ch)
+            buf_is_word = is_word
         out.append(("".join(buf), buf_is_word))
     return out
 

@@ -409,12 +409,12 @@ def test_scores_with_pool_equal_scores_without(
 @pytest.mark.parametrize(
     "hyps, refs, chunks, sent",
     [
-        # more chunks than lines: one line per chunk, the first one kept here
-        (["a b c", "abd x", "c d"], ["abc", "abd y", "d c"], 5, [1, 1]),
-        (["the cat sat"], ["the cat sat down"], 4, []),
-        (["", "", "cat"], ["the cat", "a dog", "cat"], 2, [2]),
-        (["", ""], ["the cat", "a dog"], 3, [1]),
-        (["a", "b", "c", "d", "e", "f", "g"], list("gfedcba"), 3, [2, 3]),
+        # more chunks than lines: one line per chunk, every one sent
+        (["a b c", "abd x", "c d"], ["abc", "abd y", "d c"], 5, [1, 1, 1]),
+        (["the cat sat"], ["the cat sat down"], 4, [1]),
+        (["", "", "cat"], ["the cat", "a dog", "cat"], 2, [1, 2]),
+        (["", ""], ["the cat", "a dog"], 3, [1, 1]),
+        (["a", "b", "c", "d", "e", "f", "g"], list("gfedcba"), 3, [2, 2, 3]),
     ],
     ids=["fewer-lines-than-chunks", "one-line", "empty-hypotheses",
          "only-empty-hypotheses", "uneven-chunks"],
@@ -424,6 +424,8 @@ def test_pool_scores_contiguous_chunks(pool, hyps, refs, chunks, sent):
     with mock.patch.object(metrics, "usable_cpus", lambda: chunks):
         assert chrf_pp(hyps, refs, pool=recording) == chrf_pp(hyps, refs)
         assert bleu(hyps, refs, pool=recording) == bleu(hyps, refs)
+    # every line went to the pool: this process scored nothing itself
+    assert sum(sent) == len(hyps)
     assert recording.chunk_sizes == sent * 2
 
 

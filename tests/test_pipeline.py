@@ -14,7 +14,7 @@ from icl_miner import metrics
 from icl_miner.backends import ScoredCompletion
 from icl_miner.config import load_config
 from icl_miner.errors import BackendError, BackendRejected, DataError
-from icl_miner.pipeline import Pipeline
+from icl_miner.pipeline import Pipeline, _scoring_pool
 
 
 def toy_pipeline(ini: Path, work: Path, concurrency: int = 1) -> Pipeline:
@@ -127,8 +127,14 @@ def test_resume_rewrites_no_report(tmp_path, toy_dir, concurrency):
     } == before
 
 
+def test_scoring_pool_needs_two_cpus(monkeypatch):
+    monkeypatch.setattr(metrics, "usable_cpus", lambda: 1)
+    assert _scoring_pool() is None
+
+
 def test_scoring_workers_exit_with_run_all(tmp_path, toy_dir, monkeypatch):
-    # two workers, so the pool is used on a machine with one CPU too
+    # three workers, so the pool is used on a machine with one CPU too; a
+    # fork pool starts all of them at the first submit
     monkeypatch.setattr(metrics, "usable_cpus", lambda: 3)
     pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
     pipeline.run_all()
@@ -147,7 +153,7 @@ def test_scoring_workers_exit_with_run_all(tmp_path, toy_dir, monkeypatch):
     pipeline.translate = failing_translate
     with pytest.raises(DataError, match="injected"):
         pipeline.run_all(["zero_shot", "random"])
-    assert len(alive) == 2
+    assert len(alive) == 3
     assert multiprocessing.active_children() == []
 
 
