@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy",
         action="append",
         choices=tuple(POLICIES),
-        help="restrict which translators run",
+        help="policy to run (repeatable; default: configured policies); "
+        "only the stages these policies read run",
     )
 
     return parser

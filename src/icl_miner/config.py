@@ -33,7 +33,9 @@ class Policy:
 
     pool: str  # none | mined | gold
     selector: str  # none | first_k | top_k | top_k_bm25
-    needs_lexicon: bool = False  # renders the test set word by word
+    # reads the w2w renderings, and the lexicon to render test sources
+    # that w2w.jsonl lacks
+    needs_lexicon: bool = False
 
     @property
     def ranked(self) -> bool:

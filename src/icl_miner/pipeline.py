@@ -6,9 +6,14 @@ the reference file and evaluation per policy) runs through one runner,
 recording the input hashes, the semantic config, the backend, the seed and
 the output hashes, and skips the stage while that record still matches, so
 an interrupted run resumes where it stopped and a repeated run rescores
-nothing. `run_all` scores chrF++/BLEU with a pool of forked worker
-processes, one per CPU, that it shuts down when it returns or raises. The
-run directory is named by the config hash and guarded by a lock file.
+nothing. Each stage pulls the stages it reads: `evaluate_policy` calls
+`translate`, which calls what its policy needs. A `Pipeline` remembers each
+stage it has found current or has built, and checks it no more; this holds
+while nothing else writes the run directory (the CLI holds `RunLock`), and
+a new `Pipeline` picks up edited inputs. `run_all` scores chrF++/BLEU with
+a pool of forked worker processes, one per CPU, that it shuts down when it
+returns or raises. The run directory is named by the config hash and
+guarded by a lock file.
 """
 
 from __future__ import annotations
@@ -76,12 +81,11 @@ def _scoring_pool() -> ProcessPoolExecutor | None:
     process waits.
 
     One per CPU; None with one CPU or where processes cannot be forked. The
-    workers fork at the first scoring call, and a fork copies only the
-    calling thread. That is safe here because it is the only thread alive:
-    `parallel_map` has joined its worker threads before the stage that
-    started them returns. (`forkserver` and `spawn` would re-run the calling
-    script in each worker, which breaks a script without a `__main__`
-    guard.)
+    workers fork at the first scoring call, maybe before a later policy's
+    upstream stages run, and a fork copies only the calling thread. That is
+    safe: every stage joins its worker threads before it returns.
+    (`forkserver` and `spawn` would re-run the calling script in each
+    worker, which breaks a script without a `__main__` guard.)
     """
     workers = metrics.usable_cpus()
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
@@ -171,6 +175,7 @@ class Pipeline:
             max_word_tokens=config.max_word_tokens,
             templates=self.templates,
         )
+        self._resolved: set[str] = set()  # stages found current or built
 
     # ------------------------------------------------------------- wiring
 
@@ -214,8 +219,12 @@ class Pipeline:
         the outputs now on disk; a missing output, a missing manifest or one
         that is not valid JSON is not current. Writes need no temp file and
         rename: a half-written artifact or manifest never matches the
-        recorded hashes, so the stage runs again.
+        recorded hashes, so the stage runs again. A stage found current or
+        built is not checked again by this `Pipeline`; one whose build raised
+        is checked again on the next call.
         """
+        if name in self._resolved:
+            return
         manifest_path = outputs[0].with_name(outputs[0].name + ".manifest.json")
         manifest = {
             "stage": name,
@@ -232,10 +241,12 @@ class Pipeline:
             current = {path.name: _sha256_file(path) for path in outputs}
             if recorded == {**manifest, "outputs": current}:
                 log.info("%s up to date, skipping", name)
+                self._resolved.add(name)
                 return
         build()
         manifest["outputs"] = {path.name: _sha256_file(path) for path in outputs}
         _write_json(manifest_path, manifest)
+        self._resolved.add(name)
 
     def mine_words(self) -> Path:
         """Stage 1: mined word-pair lexicon (zero-shot round plus refinement)."""
@@ -456,6 +467,7 @@ class Pipeline:
             inputs["gold_dev_target"] = cfg.gold_dev_target
         if spec.needs_lexicon:
             inputs["lexicon"] = str(self.mine_words())
+            inputs["w2w"] = str(self.build_w2w())
 
         writes_audit = spec.selector != "none"
         outputs = [hyp_path, audit_path] if writes_audit else [hyp_path]
@@ -463,53 +475,49 @@ class Pipeline:
         def build() -> None:
             sources = self._test_corpus().sources
             if spec.needs_lexicon:
-                shots = word_mining.read_lexicon(self.run_dir / "lexicon.tsv")
-                corpus = w2w.build_w2w(
-                    list(sources), shots, self.llm, self.source_lang,
-                    self.target_lang, self.templates, cfg.max_word_tokens,
-                    max_workers=cfg.concurrency,
-                )
-                hypotheses = [rendering for _, rendering in corpus.pairs]
-                audit_records = []
+                # by text: w2w.jsonl keeps the sources of blank-side pairs
+                rendered = dict(w2w.read_w2w(inputs["w2w"]).pairs)
+                missing = [source for source in sources if source not in rendered]
+                if missing:  # paths.w2w_source names another corpus
+                    rendered.update(w2w.build_w2w(
+                        missing, word_mining.read_lexicon(inputs["lexicon"]),
+                        self.llm, self.source_lang, self.target_lang,
+                        self.templates, cfg.max_word_tokens,
+                        max_workers=cfg.concurrency,
+                    ).pairs)
+                hypotheses = [rendered[source] for source in sources]
             else:
                 shot_lists, audit_records = self._selections(policy, spec, sources)
                 hypotheses = self._translate_all(sources, shot_lists)
+                if writes_audit:
+                    write_jsonl(audit_path, audit_records)
             write_lines(hyp_path, hypotheses)
-            if writes_audit:
-                write_jsonl(audit_path, audit_records)
 
         self._stage(f"translate.{policy}", inputs, outputs, build)
         return hyp_path
 
     # ----------------------------------------------------------- evaluation
 
-    def _metric_configs(self) -> tuple[metrics.ChrfConfig, metrics.BleuConfig]:
-        cfg = self.config
-        return (
-            metrics.ChrfConfig(
-                char_ngram_max=cfg.chrf_char_ngram,
-                word_ngram_max=cfg.chrf_word_ngram,
-                beta=cfg.chrf_beta,
-            ),
-            metrics.BleuConfig(
-                max_ngram=cfg.bleu_max_ngram,
-                smoothing=cfg.bleu_smoothing,
-                tokenizer=cfg.bleu_tokenizer,
-            ),
-        )
-
     def evaluate(self, hyp_path: str | Path, ref_path: str | Path,
                  system: str = "system", *,
                  pool: Executor | None = None) -> metrics.EvalReport:
-        chrf_config, bleu_config = self._metric_configs()
+        cfg = self.config
         return metrics.evaluate_corpus(
             hyp_path,
             ref_path,
             self.source_lang.code,
             self.target_lang.code,
             system=system,
-            chrf_config=chrf_config,
-            bleu_config=bleu_config,
+            chrf_config=metrics.ChrfConfig(
+                char_ngram_max=cfg.chrf_char_ngram,
+                word_ngram_max=cfg.chrf_word_ngram,
+                beta=cfg.chrf_beta,
+            ),
+            bleu_config=metrics.BleuConfig(
+                max_ngram=cfg.bleu_max_ngram,
+                smoothing=cfg.bleu_smoothing,
+                tokenizer=cfg.bleu_tokenizer,
+            ),
             pool=pool,
         )
 
@@ -528,13 +536,11 @@ class Pipeline:
     def evaluate_policy(
         self, policy: str, *, pool: Executor | None = None
     ) -> metrics.EvalReport:
-        """Stage 5: score one policy's hypotheses against the test targets.
-
-        `pool`, if given, is a process pool that shares the scoring.
+        """Stage 5: score the hypotheses of `translate(policy)`, which it
+        pulls, against the test targets. `pool`, if given, is a process pool
+        that shares the scoring.
         """
-        hyp_path = self.run_dir / f"hyp.{policy}.txt"
-        if not hyp_path.exists():
-            raise DataError(f"no hypotheses for policy {policy!r}: {hyp_path}")
+        hyp_path = self.translate(policy)
         ref_path = self._reference()
         report_path = self.run_dir / f"report.{policy}.json"
         inputs = {"hypotheses": str(hyp_path), "reference": str(ref_path)}
@@ -553,17 +559,11 @@ class Pipeline:
 
     def run_all(self, policies: Sequence[str] | None = None) -> list[metrics.EvalReport]:
         selected = tuple(policies) if policies else self.config.effective_policies()
-        specs = [self.config.policy(policy) for policy in selected]
-        self.mine_words()
-        self.build_w2w()
-        if any(spec.pool == "mined" for spec in specs):
-            self.mine_sentences()
-        reports = []
+        for policy in selected:  # reject a policy before any stage runs
+            self.config.policy(policy)
         pool = _scoring_pool()
         with pool or contextlib.nullcontext():
-            for policy in selected:
-                self.translate(policy)
-                reports.append(self.evaluate_policy(policy, pool=pool))
+            reports = [self.evaluate_policy(policy, pool=pool) for policy in selected]
         write_lines(
             self.run_dir / "report.txt", [report.row() for report in reports]
         )

@@ -149,6 +149,9 @@ class TestTranslate:
         assert rc == 0
         hyps = sorted(p.name for p in run_dir(tmp_path).glob("hyp.*.txt"))
         assert hyps == ["hyp.zero_shot.txt"]
+        # zero-shot reads no mined artifact, so none is mined
+        assert not (run_dir(tmp_path) / "lexicon.tsv").exists()
+        assert not (run_dir(tmp_path) / "pool.jsonl").exists()
 
     def test_zero_shot_prompts_have_no_examples(self, tmp_path):
         from icl_miner.prompts import sentence_translation_prompt

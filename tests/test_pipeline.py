@@ -6,23 +6,35 @@ import json
 import multiprocessing
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from icl_miner import metrics
+from icl_miner import metrics, w2w, word_mining
 from icl_miner.backends import ScoredCompletion
 from icl_miner.config import load_config
 from icl_miner.errors import BackendError, BackendRejected, DataError
 from icl_miner.pipeline import Pipeline, _scoring_pool
 
 
-def toy_pipeline(ini: Path, work: Path, concurrency: int = 1) -> Pipeline:
+def toy_pipeline(
+    ini: Path, work: Path, concurrency: int = 1, **overrides
+) -> Pipeline:
     return Pipeline(load_config(ini, {
         "output_dir": str(work / "out"),
         "cache_dir": str(work / "cache"),
         "concurrency": concurrency,
+        **overrides,
     }))
+
+
+def lines(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def w2w_records(run_dir: Path) -> list[dict]:
+    return [json.loads(line) for line in lines(run_dir / "w2w.jsonl")]
 
 
 def stage_files(run_dir: Path) -> dict[str, tuple[int, int]]:
@@ -107,6 +119,71 @@ def test_failed_translation_aborts_the_stage(tmp_path, toy_dir, concurrency):
     with pytest.raises(BackendError, match="sentence 1"):
         pipeline.translate("zero_shot")
     assert not list(pipeline.run_dir.glob("hyp.zero_shot.txt*"))
+
+    # the failed build was not remembered: the same Pipeline builds it now
+    pipeline.llm.backend = backend
+    hyp = pipeline.translate("zero_shot")
+    assert len(lines(hyp)) == len(sources)
+    assert hyp.with_name(hyp.name + ".manifest.json").exists()
+
+
+def test_run_all_checks_each_stage_once(tmp_path, toy_dir, monkeypatch):
+    # a stage check looks for the stage's manifest once, whether it builds
+    # the stage or finds it current
+    checks = Counter()
+    exists = Path.exists
+
+    def counting_exists(path):
+        if path.name.endswith(".manifest.json"):
+            checks[path.name] += 1
+        return exists(path)
+
+    monkeypatch.setattr(Path, "exists", counting_exists)
+    for run in ("cold", "resume"):
+        checks.clear()
+        pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
+        pipeline.run_all()
+        manifests = {path.name for path in pipeline.run_dir.glob("*.manifest.json")}
+        assert len(manifests) == 18
+        assert checks == dict.fromkeys(manifests, 1), run
+
+
+def test_uw2w_renders_test_set_when_w2w_source_differs(tmp_path, toy_dir):
+    pipeline = toy_pipeline(
+        toy_dir / "toy.ini", tmp_path, w2w_source=str(toy_dir / "dev.ava.txt")
+    )
+    hyp = pipeline.translate("uw2w")
+    records = w2w_records(pipeline.run_dir)
+    assert [record["source"] for record in records] == lines(toy_dir / "dev.ava.txt")
+
+    direct = w2w.build_w2w(
+        lines(toy_dir / "test.ava.txt"),
+        word_mining.read_lexicon(pipeline.run_dir / "lexicon.tsv"),
+        pipeline.llm, pipeline.source_lang, pipeline.target_lang,
+        pipeline.templates, pipeline.config.max_word_tokens,
+    )
+    assert lines(hyp) == [rendering for _, rendering in direct.pairs]
+    golden = next((toy_dir / "golden").glob("run-*")) / "hyp.uw2w.txt"
+    assert hyp.read_bytes() == golden.read_bytes()
+
+
+def test_uw2w_aligns_with_reference_around_blank_target(tmp_path, toy_dir):
+    data = tmp_path / "toy"
+    shutil.copytree(toy_dir, data, ignore=shutil.ignore_patterns("golden"))
+    targets = lines(data / "test.zor.txt")
+    targets[1] = ""
+    (data / "test.zor.txt").write_text("\n".join(targets) + "\n", encoding="utf-8")
+    pipeline = toy_pipeline(data / "toy.ini", tmp_path)
+    pipeline.run_all(["uw2w"])
+
+    # w2w.jsonl renders every test source, the reference drops the blank pair
+    sources = lines(data / "test.ava.txt")
+    records = w2w_records(pipeline.run_dir)
+    rendered = {record["source"]: record["w2w"] for record in records}
+    assert list(rendered) == sources
+    kept = [source for index, source in enumerate(sources) if index != 1]
+    assert lines(pipeline.run_dir / "test.ref.txt") == targets[:1] + targets[2:]
+    assert lines(pipeline.run_dir / "hyp.uw2w.txt") == [rendered[s] for s in kept]
 
 
 @pytest.mark.parametrize("concurrency", [1, 8])
