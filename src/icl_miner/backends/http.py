@@ -60,6 +60,14 @@ def _post_with_retries(
     ) from last_error
 
 
+def _headers(api_key: str | None) -> dict:
+    """JSON request headers, with a bearer token when there is a key."""
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    return headers
+
+
 class HttpLLMBackend:
     backend_id = "http"
 
@@ -76,12 +84,6 @@ class HttpLLMBackend:
         self.model_id = model
         self.timeout = timeout
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
 
     def generate(self, request: GenerationRequest) -> list[ScoredCompletion]:
         payload: dict = {
@@ -107,7 +109,10 @@ class HttpLLMBackend:
             payload["stop"] = list(request.stop.substrings)
 
         body = _post_with_retries(
-            f"{self.base_url}/completions", payload, self._headers(), self.timeout
+            f"{self.base_url}/completions",
+            payload,
+            _headers(self.api_key),
+            self.timeout,
         )
         choices = body.get("choices")
         if not isinstance(choices, list):
@@ -144,13 +149,10 @@ class HttpEmbeddingBackend:
     def embed(self, text: str) -> EmbeddingVector:
         if not text:
             raise BackendError("cannot embed empty text")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         body = _post_with_retries(
             f"{self.base_url}/embeddings",
             {"model": self.model_id, "input": [text]},
-            headers,
+            _headers(self.api_key),
             self.timeout,
         )
         try:

@@ -4,11 +4,18 @@ chrF++ averages precision/recall over character n-grams (default 1..6,
 computed on whitespace-removed text) and word n-grams (default 1..2, over
 punctuation-separated tokens), then combines them with an F-beta (beta=2).
 Orders where either side has no n-grams at all are skipped. Each line is
-normalized and split into words once, and all its n-grams go into one
-Counter: char n-grams are strings and word n-grams are tuples, so a gram's
-kind is its type and its order is its length. Per-order totals follow from
-the line's lengths, and matches come from one pass over the hypothesis
-Counter; the per-order scores are then added in order, char orders first.
+normalized and split into words once; per-order totals follow from its
+lengths. Word n-grams are counted on both sides and matched by their
+Counters. Char n-grams are counted on the hypothesis side only: each
+distinct one is looked up in the whitespace-removed reference text, and
+one the hypothesis holds more than once is clipped at its overlapping
+occurrences there, so no reference char n-gram table is built. A lookup
+scans the reference line, so the cost per hypothesis gram grows with the
+reference line's length. Against counting the reference grams too, this
+is cheaper for sentence-level lines and dearer for paragraphs; measured on
+one 2-vCPU x86 host, the time is 0.7-0.8x at 157 chars per reference
+line, 0.73x at 316, 1.03x at 632 and 1.75x at 2,533. The per-order
+scores are added in order, char orders first.
 
 BLEU is corpus-level: modified (clipped) n-gram precisions combined by a
 geometric mean with a brevity penalty. Orders whose hypothesis corpus has
@@ -16,8 +23,8 @@ no n-grams of that size are skipped so that identical corpora always score
 100 (short-corpus effective-order rule). The subword tokenizer is a greedy
 longest-match over a user-supplied vocabulary, approximating
 SentencePiece-style subword BLEU; scores are only comparable within one
-tokenizer. BLEU, too, counts each line's n-grams, orders 1..N, in one
-Counter.
+tokenizer. BLEU counts each line's n-grams, orders 1..N, in one Counter per
+side.
 
 Both scores are computed in two steps. `_chrf_stats` and `_bleu_stats` turn
 a slice of line pairs into integer statistics (per-order totals and
@@ -153,24 +160,12 @@ def _count_ngrams(
 ) -> None:
     """Add every n-gram of ``items``, n = min_n..max_n, to ``grams``.
 
-    N-grams of a string are strings and n-grams of a token tuple are tuples,
-    so the order of a gram is ``len(gram)`` and the two kinds never collide.
+    N-grams of a string are strings and n-grams of a token tuple are tuples;
+    either way the order of a gram is ``len(gram)``.
     """
     size = len(items)
     for n in range(min_n, max_n + 1):
         grams.update(items[i : i + n] for i in range(size - n + 1))
-
-
-def _chrf_line(text: str, config: ChrfConfig) -> tuple[Counter, int, int]:
-    """All chrF++ n-grams of one line in one Counter, with its char and word
-    counts."""
-    text = normalize_text(text)
-    chars = "".join(text.split())
-    words = tuple(_punct_split_tokens(text))
-    grams = Counter(chars)  # the char unigrams
-    _count_ngrams(grams, chars, 2, config.char_ngram_max)
-    _count_ngrams(grams, words, 1, config.word_ngram_max)
-    return grams, len(chars), len(words)
 
 
 def usable_cpus() -> int:
@@ -219,27 +214,54 @@ def _chrf_stats(
 ) -> list[int]:
     """Integer chrF++ statistics of line pairs: per order, char 1..char_max
     then word 1..word_max, the hypothesis total, the reference total and
-    the matches, one flat list."""
+    the matches, one flat list.
+
+    A char n-gram that the hypothesis holds ``count`` times matches
+    ``min(count, r)`` times, ``r`` being its occurrences in the reference,
+    overlapping ones included. Only the hypothesis grams are counted:
+    ``gram in ref_chars`` settles a gram held once, and for one held more
+    often ``ref_chars.find(gram, at + 1)`` counts occurrences until there
+    are ``count`` or no more. Each lookup scans the reference line, which
+    is cheaper than counting its grams for sentence-length lines only (see
+    the module docstring).
+    """
     char_max, word_max = config.char_ngram_max, config.word_ngram_max
     stats = [[0, 0, 0] for _ in range(char_max + word_max)]
     for hyp_raw, ref_raw in zip(hypotheses, references):
-        hyp_grams, hyp_chars, hyp_words = _chrf_line(hyp_raw, config)
-        ref_grams, ref_chars, ref_words = _chrf_line(ref_raw, config)
+        hyp_text, ref_text = normalize_text(hyp_raw), normalize_text(ref_raw)
+        hyp_chars, ref_chars = "".join(hyp_text.split()), "".join(ref_text.split())
+        hyp_words = tuple(_punct_split_tokens(hyp_text))
+        ref_words = tuple(_punct_split_tokens(ref_text))
         for n in range(1, char_max + 1):
             entry = stats[n - 1]
-            entry[0] += max(hyp_chars - n + 1, 0)
-            entry[1] += max(ref_chars - n + 1, 0)
+            entry[0] += max(len(hyp_chars) - n + 1, 0)
+            entry[1] += max(len(ref_chars) - n + 1, 0)
         for n in range(1, word_max + 1):
             entry = stats[char_max + n - 1]
-            entry[0] += max(hyp_words - n + 1, 0)
-            entry[1] += max(ref_words - n + 1, 0)
+            entry[0] += max(len(hyp_words) - n + 1, 0)
+            entry[1] += max(len(ref_words) - n + 1, 0)
+        char_grams = Counter(hyp_chars)  # the char unigrams
+        _count_ngrams(char_grams, hyp_chars, 2, char_max)
+        for gram, count in char_grams.items():
+            if gram not in ref_chars:
+                continue
+            if count > 1:  # clip at the reference's overlapping occurrences
+                found, at = 1, ref_chars.find(gram)
+                while found < count:
+                    at = ref_chars.find(gram, at + 1)
+                    if at < 0:
+                        break
+                    found += 1
+                count = found
+            stats[len(gram) - 1][2] += count
+        hyp_grams: Counter = Counter()
+        ref_grams: Counter = Counter()
+        _count_ngrams(hyp_grams, hyp_words, 1, word_max)
+        _count_ngrams(ref_grams, ref_words, 1, word_max)
         for gram, count in hyp_grams.items():
             ref_count = ref_grams.get(gram)
             if ref_count:
-                slot = len(gram) - 1
-                if type(gram) is tuple:
-                    slot += char_max
-                stats[slot][2] += min(count, ref_count)
+                stats[char_max + len(gram) - 1][2] += min(count, ref_count)
     return [value for entry in stats for value in entry]
 
 

@@ -510,11 +510,13 @@ class _StubHandler(BaseHTTPRequestHandler):
     fail_next = 0
     fail_status = 503
     requests_seen: list = []
+    auth_seen: list = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).requests_seen.append((self.path, body))
+        type(self).auth_seen.append(self.headers.get("Authorization"))
         if type(self).fail_next > 0:
             type(self).fail_next -= 1
             self.send_response(type(self).fail_status)
@@ -548,6 +550,7 @@ def stub_server():
     _StubHandler.fail_next = 0
     _StubHandler.fail_status = 503
     _StubHandler.requests_seen = []
+    _StubHandler.auth_seen = []
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
@@ -620,3 +623,12 @@ class TestHttpBackend:
     def test_embeddings_endpoint(self, stub_server):
         backend = HttpEmbeddingBackend(stub_server, "embed-model", api_key="k")
         assert backend.embed("bonjour").values == (0.6, 0.8)
+
+    def test_bearer_token_sent_only_with_a_key(self, stub_server, monkeypatch):
+        monkeypatch.delenv(http.API_KEY_ENV, raising=False)
+        for api_key in ("k", None):
+            HttpLLMBackend(stub_server, "m", api_key=api_key).generate(
+                GenerationRequest(prompt="p")
+            )
+            HttpEmbeddingBackend(stub_server, "e", api_key=api_key).embed("x")
+        assert _StubHandler.auth_seen == ["Bearer k", "Bearer k", None, None]

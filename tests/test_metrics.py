@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import random
 import sys
 import unicodedata
 from collections import Counter
@@ -58,7 +59,9 @@ def oracle_word_ngrams(text: str, n: int) -> Counter:
     return Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
 
 
-def oracle_chrf_pp(hypotheses, references, config=ChrfConfig()) -> float:
+def oracle_chrf_stats(hypotheses, references, config=ChrfConfig()) -> list:
+    """Per order, char then word: hypothesis total, reference total and
+    matches, one (hyp_total, ref_total, matched) triple per order."""
     orders = [("char", n) for n in range(1, config.char_ngram_max + 1)] + [
         ("word", n) for n in range(1, config.word_ngram_max + 1)
     ]
@@ -73,10 +76,15 @@ def oracle_chrf_pp(hypotheses, references, config=ChrfConfig()) -> float:
             entry[0] += sum(hyp_grams.values())
             entry[1] += sum(ref_grams.values())
             entry[2] += sum((hyp_grams & ref_grams).values())
+    return [stats[order] for order in orders]
+
+
+def oracle_chrf_pp(hypotheses, references, config=ChrfConfig()) -> float:
     avg_precision = avg_recall = 0.0
     effective_orders = 0
-    for order in orders:
-        hyp_total, ref_total, matched = stats[order]
+    for hyp_total, ref_total, matched in oracle_chrf_stats(
+        hypotheses, references, config
+    ):
         if hyp_total > 0 and ref_total > 0:
             avg_precision += matched / hyp_total
             avg_recall += matched / ref_total
@@ -438,3 +446,55 @@ def test_hypothesis_keeps_unicode_line_breaks(tmp_path):
     # the other line breaks are whitespace to the metrics
     assert report.chrf_pp == pytest.approx(100.0, abs=1e-9)
 
+
+
+# ---------------------------------------------------------------------------
+# char n-grams matched by lookups in the reference text: repeated and
+# self-overlapping grams are clipped at their overlapping occurrences
+# ---------------------------------------------------------------------------
+
+
+def assert_chrf_equals_oracle(hyps, refs, config, pool):
+    flat = [value for entry in oracle_chrf_stats(hyps, refs, config) for value in entry]
+    assert metrics._chrf_stats(hyps, refs, config) == flat
+    expected = oracle_chrf_pp(hyps, refs, config)
+    assert chrf_pp(hyps, refs, config) == expected
+    with mock.patch.object(metrics, "usable_cpus", lambda: 2):
+        assert chrf_pp(hyps, refs, config, pool=pool) == expected
+
+
+@pytest.mark.parametrize(
+    "hyp, ref",
+    [
+        ("aaaa", "aaa"),
+        ("abab", "ababab"),
+        ("aa aa", "aaa"),
+        ("aba aba", "ababa"),
+    ],
+)
+def test_repeated_char_grams_equal_bruteforce_oracle(pool, hyp, ref):
+    config = ChrfConfig()
+    assert_chrf_equals_oracle([hyp, ref], [ref, hyp], config, pool)
+    assert_chrf_equals_oracle([hyp], [ref], config, pool)
+
+
+# two letters and a space: most grams repeat, in both lines
+AB_LINE = st.text(alphabet="ab ", max_size=40)
+
+
+@given(
+    st.lists(st.tuples(AB_LINE, AB_LINE), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=7),
+)
+def test_two_letter_lines_equal_bruteforce_oracle(pool, pairs, char_max):
+    hyps, refs = [hyp for hyp, _ in pairs], [ref for _, ref in pairs]
+    assert_chrf_equals_oracle(hyps, refs, ChrfConfig(char_ngram_max=char_max), pool)
+
+
+def test_long_line_equals_bruteforce_oracle(pool):
+    rng = random.Random(7)
+    words = ["aba", "ab", "ba", "aab", "bab", "abab", "c", "cab"]
+    hyp = " ".join(rng.choice(words) for _ in range(700))
+    ref = " ".join(rng.choice(words) for _ in range(700))
+    assert len(hyp) > 2000 and len(ref) > 2000
+    assert_chrf_equals_oracle([hyp, "ab"], [ref, "abab"], ChrfConfig(), pool)
