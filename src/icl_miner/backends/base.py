@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from ..errors import BackendError
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,22 @@ def parallel_map(
 
 
 def generate_each(
-    llm: LLMBackend, requests: Sequence[GenerationRequest], max_workers: int = 1
-) -> "list[list[ScoredCompletion] | BackendError]":
-    """Completions per request, in order, or the BackendError it raised.
+    llm: LLMBackend,
+    requests: Sequence[GenerationRequest],
+    max_workers: int = 1,
+    what: str = "requests",
+) -> list[list[ScoredCompletion]]:
+    """Completions per request, in order; `[]` for a request that failed.
+
+    This is the failure policy of every LLM fan-out in the pipeline. A
+    request whose call raises BackendError yields no completions, and each
+    distinct failed request is logged once, so a caller treats a failure
+    as an empty generation. When more than half of `requests` failed
+    (counted as passed, repeats included), one BackendError aborts the
+    stage instead: it names the share that failed and the first failure in
+    input order, from which it is chained. Failures are not cached, so a
+    stage that runs again sends them again. `what` names the requests in
+    these messages, for example "word translations".
 
     Each distinct request is sent once, with up to max_workers in flight.
     Requests a caching wrapper already holds (its `cached`) are answered
@@ -253,6 +269,8 @@ def generate_each(
         try:
             return llm.generate(request)
         except BackendError as exc:
+            log.warning("one of the %s failed (prompt ends %r): %s",
+                        what, request.prompt[-60:], exc)
             return exc
 
     distinct = list(dict.fromkeys(requests))
@@ -260,4 +278,11 @@ def generate_each(
         fetch, distinct, max_workers, local=getattr(llm, "cached", None)
     )
     by_request = dict(zip(distinct, results))
-    return [by_request[request] for request in requests]
+    outcomes = [by_request[request] for request in requests]
+    failed = [outcome for outcome in outcomes if isinstance(outcome, BackendError)]
+    if len(failed) * 2 > len(outcomes):
+        raise BackendError(
+            f"{len(failed)}/{len(outcomes)} {what} failed; aborting "
+            f"(first: {failed[0]})"
+        ) from failed[0]
+    return [[] if isinstance(o, BackendError) else o for o in outcomes]

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from . import metrics
 from .errors import ConfigError
 
 # §-free defaults: these mirror the published experimental constants
@@ -167,6 +168,23 @@ class PipelineConfig:
             )
         return policy
 
+    def chrf_config(self) -> metrics.ChrfConfig:
+        """The chrF++ settings; raises ConfigError for invalid ones."""
+        return metrics.ChrfConfig(
+            char_ngram_max=self.chrf_char_ngram,
+            word_ngram_max=self.chrf_word_ngram,
+            beta=self.chrf_beta,
+        )
+
+    def bleu_config(self) -> metrics.BleuConfig:
+        """The BLEU settings; raises ConfigError for invalid ones, an unknown
+        tokenizer or a missing subword vocabulary."""
+        return metrics.BleuConfig(
+            max_ngram=self.bleu_max_ngram,
+            smoothing=self.bleu_smoothing,
+            tokenizer=self.bleu_tokenizer,
+        )
+
     def validate(self) -> None:
         """Check field ranges and that every referenced path exists."""
         for name in ("source_code", "target_code"):
@@ -191,7 +209,8 @@ class PipelineConfig:
             raise ConfigError("backend.embedding must be trigram, fixture, or http")
         if self.embedding_kind == "fixture" and not self.embedding_fixture:
             raise ConfigError("backend.embedding_fixture is required")
-        for name in ("n", "k_wp", "k", "fallback_m", "iterations", "vocab_size"):
+        for name in ("n", "k_wp", "k", "fallback_m", "iterations", "vocab_size",
+                     "max_word_tokens", "max_sentence_tokens", "embedding_dim"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{_KEYS[name]} must be >= 1 (got {value})")
@@ -203,6 +222,8 @@ class PipelineConfig:
             raise ConfigError("mining.temperature must be positive")
         if self.sentence_decoding not in ("greedy", "beam"):
             raise ConfigError("mining.sentence_decoding must be greedy or beam")
+        if self.sentence_decoding == "beam" and self.beam_width < 1:
+            raise ConfigError(f"mining.beam_width must be >= 1 (got {self.beam_width})")
         if self.shot_order not in ("best_last", "best_first"):
             raise ConfigError("mining.shot_order must be best_last or best_first")
         if self.shot_strategy not in ("first_k", "top_sim"):
@@ -213,6 +234,11 @@ class PipelineConfig:
             raise ConfigError(f"mining.bm25_b must be in [0, 1] (got {self.bm25_b})")
         if self.concurrency < 1:
             raise ConfigError("backend.concurrency must be >= 1")
+        try:
+            self.chrf_config()
+            self.bleu_config()
+        except ConfigError as exc:
+            raise ConfigError(f"metrics: {exc}") from None
         for name in self.effective_policies():
             self.policy(name)
 

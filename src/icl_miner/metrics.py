@@ -84,6 +84,11 @@ class BleuConfig:
             raise ConfigError("BLEU max_ngram must be >= 1")
         if self.smoothing not in ("none", "epsilon", "exp"):
             raise ConfigError(f"unknown BLEU smoothing {self.smoothing!r}")
+        vocab = subword_vocab(self.tokenizer)
+        if vocab is None and self.tokenizer not in ("whitespace", "char"):
+            raise ConfigError(f"unknown BLEU tokenizer {self.tokenizer!r}")
+        if vocab is not None and not Path(vocab).is_file():
+            raise ConfigError(f"subword vocabulary not found: {vocab}")
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,11 @@ from .backends import (
     CachingLLM,
     DecodingMode,
     FixtureEmbeddingBackend,
-    GenerationRequest,
     HttpEmbeddingBackend,
     HttpLLMBackend,
     MockLLMBackend,
     ResponseCache,
     SimilarityScorer,
-    StopCondition,
     TrigramHashEmbedder,
 )
 from .backends.base import generate_each
@@ -53,8 +51,8 @@ from .corpus import (
     write_jsonl,
     write_lines,
 )
-from .errors import BackendError, ConfigError, DataError
-from .prompts import PromptTemplates, sentence_translation_prompt
+from .errors import ConfigError, DataError
+from .prompts import PromptTemplates, sentence_request
 from .sentence_mining import MinedPool, SentencePair
 
 log = logging.getLogger(__name__)
@@ -364,44 +362,6 @@ class Pipeline:
         )
         return MinedPool(pairs=pairs)
 
-    def _translation_request(self, sentence: str, shots) -> GenerationRequest:
-        prompt = sentence_translation_prompt(
-            sentence,
-            self.source_lang.display_name,
-            self.target_lang.display_name,
-            shots,
-            self.templates,
-        )
-        return GenerationRequest(
-            prompt=prompt,
-            num_samples=1,
-            mode=self._sentence_decoding(),
-            stop=StopCondition.at("\n"),
-            max_new_tokens=self.config.max_sentence_tokens,
-        )
-
-    def _translate_all(
-        self, sentences: Sequence[str], shot_lists: Sequence[list]
-    ) -> list[str]:
-        """One hypothesis per sentence, in input order.
-
-        The generations run with up to `concurrency` requests in flight; the
-        first failed request, in input order, aborts the stage.
-        """
-        requests = [
-            self._translation_request(sentence, shots)
-            for sentence, shots in zip(sentences, shot_lists)
-        ]
-        results = generate_each(self.llm, requests, self.config.concurrency)
-        hypotheses = []
-        for sentence, completions in zip(sentences, results):
-            if isinstance(completions, BackendError):
-                raise completions
-            if not completions:
-                log.warning("empty translation for %r", sentence[:40])
-            hypotheses.append(completions[0].text if completions else "")
-        return hypotheses
-
     def _selections(
         self, policy: str, spec: Policy, sources: Sequence[str]
     ) -> tuple[list[list[tuple[str, str]]], list[dict]]:
@@ -453,7 +413,14 @@ class Pipeline:
         return shot_lists, records
 
     def translate(self, policy: str) -> Path:
-        """Stage 4: one hypothesis line per test source line, per policy."""
+        """Stage 4: one hypothesis line per test source line, per policy.
+
+        Failures follow `generate_each`: a line whose request failed is
+        empty, and more than half failing aborts the stage. Failures are
+        not cached, but the stage is current once built, so a failed line
+        stays empty on resume, as a dropped pool pair does; it is sent
+        again only when the stage runs again.
+        """
         cfg = self.config
         spec = cfg.policy(policy)
         hyp_path = self.run_dir / f"hyp.{policy}.txt"
@@ -488,7 +455,18 @@ class Pipeline:
                 hypotheses = [rendered[source] for source in sources]
             else:
                 shot_lists, audit_records = self._selections(policy, spec, sources)
-                hypotheses = self._translate_all(sources, shot_lists)
+                decoding = self._sentence_decoding()
+                requests = [
+                    sentence_request(
+                        source, self.source_lang, self.target_lang, shots,
+                        self.templates, decoding, cfg.max_sentence_tokens,
+                    )
+                    for source, shots in zip(sources, shot_lists)
+                ]
+                results = generate_each(
+                    self.llm, requests, cfg.concurrency, "translations"
+                )
+                hypotheses = [c[0].text if c else "" for c in results]
                 if writes_audit:
                     write_jsonl(audit_path, audit_records)
             write_lines(hyp_path, hypotheses)
@@ -501,23 +479,14 @@ class Pipeline:
     def evaluate(self, hyp_path: str | Path, ref_path: str | Path,
                  system: str = "system", *,
                  pool: Executor | None = None) -> metrics.EvalReport:
-        cfg = self.config
         return metrics.evaluate_corpus(
             hyp_path,
             ref_path,
             self.source_lang.code,
             self.target_lang.code,
             system=system,
-            chrf_config=metrics.ChrfConfig(
-                char_ngram_max=cfg.chrf_char_ngram,
-                word_ngram_max=cfg.chrf_word_ngram,
-                beta=cfg.chrf_beta,
-            ),
-            bleu_config=metrics.BleuConfig(
-                max_ngram=cfg.bleu_max_ngram,
-                smoothing=cfg.bleu_smoothing,
-                tokenizer=cfg.bleu_tokenizer,
-            ),
+            chrf_config=self.config.chrf_config(),
+            bleu_config=self.config.bleu_config(),
             pool=pool,
         )
 

@@ -23,17 +23,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import bm25
-from .backends.base import (
-    DecodingMode,
-    GenerationRequest,
-    LLMBackend,
-    SimilarityScorer,
-    StopCondition,
-    generate_each,
-)
+from .backends.base import DecodingMode, LLMBackend, SimilarityScorer, generate_each
 from .corpus import LanguageSpec, MonolingualCorpus, read_written_lines, write_jsonl
-from .errors import BackendError, DataError
-from .prompts import PromptTemplates, sentence_translation_prompt
+from .errors import DataError
+from .prompts import PromptTemplates, sentence_request
 from .w2w import W2wCorpus
 
 log = logging.getLogger(__name__)
@@ -148,45 +141,28 @@ def back_translate(
 
     Shots must be oriented target -> source. Each resulting pair keeps the
     generated text as source and the natural sentence as target, scored
-    with the cross-lingual similarity function.
+    with the cross-lingual similarity function. A sentence whose
+    back-translation is empty or failed (see `generate_each`) is dropped.
     """
     if not len(d_u):
         raise DataError("unlabeled corpus is empty")
     shot_pairs = [p.as_shot() for p in shots]
     # one prompt per distinct sentence: a corpus may repeat sentences
     request_of = {
-        sentence: GenerationRequest(
-            prompt=sentence_translation_prompt(
-                sentence,
-                target_lang.display_name,
-                source_lang.display_name,
-                shot_pairs,
-                templates,
-            ),
-            num_samples=1,
-            mode=decoding,
-            stop=StopCondition.at("\n"),
-            max_new_tokens=max_sentence_tokens,
+        sentence: sentence_request(
+            sentence, target_lang, source_lang, shot_pairs, templates,
+            decoding, max_sentence_tokens,
         )
         for sentence in dict.fromkeys(d_u.sentences)
     }
     requests = [request_of[sentence] for sentence in d_u.sentences]
-    failures = 0
+    results = generate_each(llm, requests, max_workers, "back-translations")
     kept: list[tuple[str, str]] = []
-    for sentence, result in zip(
-        d_u.sentences, generate_each(llm, requests, max_workers)
-    ):
-        if isinstance(result, BackendError):
-            log.warning("back-translation failed for %r: %s", sentence[:40], result)
-            failures += 1
-        elif not result or not result[0].text:
-            log.warning("empty back-translation dropped for %r", sentence[:40])
+    for sentence, completions in zip(d_u.sentences, results):
+        if completions and completions[0].text:
+            kept.append((completions[0].text, sentence))
         else:
-            kept.append((result[0].text, sentence))
-    if failures * 2 > len(d_u):
-        raise BackendError(
-            f"{failures}/{len(d_u)} back-translations failed; aborting"
-        )
+            log.warning("no back-translation for %r; dropped", sentence[:40])
     pairs: list[SentencePair] = []
     for (text, sentence), similarity in zip(kept, scorer.sims(kept)):
         if similarity == 1.0:

@@ -2,10 +2,12 @@
 
 Each sentence is segmented into word and non-word tokens; word tokens are
 translated one at a time with the mined lexicon as in-context examples,
-while punctuation and pure-digit tokens pass through unchanged. Failed or
-empty translations copy the input word through — dropping words would
-damage the back-translation shots built from these renderings. Tokens are
-rejoined with single spaces; no detokenization polish is applied.
+while punctuation and pure-digit tokens pass through unchanged. A word
+whose translation is empty, or whose request failed, is copied through:
+dropping words would damage the back-translation shots built from these
+renderings. Failures follow `generate_each`: when more than half of the
+distinct words fail, the build aborts instead. Tokens are rejoined with
+single spaces; no detokenization polish is applied.
 """
 
 from __future__ import annotations
@@ -17,16 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .backends.base import (
-    DecodingMode,
-    GenerationRequest,
-    LLMBackend,
-    StopCondition,
-    generate_each,
-)
+from .backends.base import LLMBackend, generate_each
 from .corpus import LanguageSpec, read_written_lines, write_jsonl
-from .errors import BackendError, DataError
-from .prompts import PromptTemplates, word_translation_prompt
+from .errors import DataError
+from .prompts import PromptTemplates, word_request
 from .tokens import segment
 from .word_mining import WordPair
 
@@ -44,7 +40,6 @@ class W2wCorpus:
     """(original sentence, word-by-word rendering) pairs, input order."""
 
     pairs: tuple[tuple[str, str], ...]
-    shots_used: tuple[WordPair, ...]
     stats: tuple[SentenceStats, ...]
 
     def __len__(self) -> int:
@@ -75,29 +70,13 @@ class W2wTranslator:
     ):
         if not shots:
             raise DataError("word-by-word translation needs in-context shots")
-        self.shots = tuple(shots)
+        self.shots = tuple(pair.as_shot() for pair in shots)
         self.llm = llm
         self.source_lang = source_lang
         self.target_lang = target_lang
         self.templates = templates
         self.max_word_tokens = max_word_tokens
         self._memo: dict[str, tuple[str, bool]] = {}
-
-    def _request(self, word: str) -> GenerationRequest:
-        prompt = word_translation_prompt(
-            word,
-            self.source_lang.display_name,
-            self.target_lang.display_name,
-            [p.as_shot() for p in self.shots],
-            self.templates,
-        )
-        return GenerationRequest(
-            prompt=prompt,
-            num_samples=1,
-            mode=DecodingMode.greedy(),
-            stop=StopCondition.whitespace(),
-            max_new_tokens=self.max_word_tokens,
-        )
 
     def translate(self, word: str) -> tuple[str, bool]:
         """Translate one word; returns (text, copied_through)."""
@@ -111,14 +90,14 @@ class W2wTranslator:
         A failed or empty translation copies the word through.
         """
         distinct = [w for w in dict.fromkeys(words) if w not in self._memo]
-        requests = [self._request(word) for word in distinct]
-        results = generate_each(self.llm, requests, max_workers)
-        for word, result in zip(distinct, results):
-            text = ""
-            if isinstance(result, BackendError):
-                log.warning("word translation failed for %r: %s", word, result)
-            elif result:
-                text = result[0].text
+        requests = [
+            word_request(word, self.source_lang, self.target_lang, self.shots,
+                         self.templates, self.max_word_tokens)
+            for word in distinct
+        ]
+        results = generate_each(self.llm, requests, max_workers, "word translations")
+        for word, completions in zip(distinct, results):
+            text = completions[0].text if completions else ""
             self._memo[word] = (text, False) if text else (word, True)
 
     def render(self, sentence: str) -> tuple[str, SentenceStats]:
@@ -172,9 +151,7 @@ def build_w2w(
         rendering, sentence_stats = translator.render(sentence)
         pairs.append((sentence, rendering))
         stats.append(sentence_stats)
-    corpus = W2wCorpus(
-        pairs=tuple(pairs), shots_used=tuple(shots), stats=tuple(stats)
-    )
+    corpus = W2wCorpus(pairs=tuple(pairs), stats=tuple(stats))
     log.info(
         "w2w: %d sentences, copy-through ratio %.3f",
         len(corpus),
@@ -198,7 +175,7 @@ def write_w2w(path: str | Path, corpus: W2wCorpus) -> None:
     )
 
 
-def read_w2w(path: str | Path, shots: Sequence[WordPair] = ()) -> W2wCorpus:
+def read_w2w(path: str | Path) -> W2wCorpus:
     pairs: list[tuple[str, str]] = []
     stats: list[SentenceStats] = []
     for line in read_written_lines(path):
@@ -211,4 +188,4 @@ def read_w2w(path: str | Path, shots: Sequence[WordPair] = ()) -> W2wCorpus:
         stats.append(SentenceStats(len(segment(record["source"])) - copied, copied))
     if not pairs:
         raise DataError(f"empty w2w corpus: {path}")
-    return W2wCorpus(pairs=tuple(pairs), shots_used=tuple(shots), stats=tuple(stats))
+    return W2wCorpus(pairs=tuple(pairs), stats=tuple(stats))

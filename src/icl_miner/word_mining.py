@@ -14,19 +14,18 @@ import csv
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .backends.base import (
     DecodingMode,
     GenerationRequest,
     LLMBackend,
     SimilarityScorer,
-    StopCondition,
     generate_each,
 )
 from .corpus import LanguageSpec, Vocabulary, normalize_token
-from .errors import BackendError, DataError
-from .prompts import PromptTemplates, word_translation_prompt
+from .errors import DataError
+from .prompts import PromptTemplates, word_request
 
 log = logging.getLogger(__name__)
 
@@ -105,30 +104,19 @@ def _filtered_candidates(
 
 def _translate_words(
     words: Sequence[str],
-    prompts: Sequence[str],
+    requests: Sequence[GenerationRequest],
     filter_vocab: Vocabulary,
-    request_of: Callable[[str], GenerationRequest],
+    limit: int,
     llm: LLMBackend,
-    per_word_limit: int,
     max_workers: int,
 ) -> dict[str, tuple[tuple[str, float], ...]]:
-    """One request per word, distinct ones sent once; a failed word is skipped."""
-    results = generate_each(llm, [request_of(p) for p in prompts], max_workers)
-    failures = 0
-    entries: dict[str, tuple[tuple[str, float], ...]] = {}
-    for word, result in zip(words, results):
-        if isinstance(result, BackendError):
-            log.warning("translation failed for %r: %s", word, result)
-            failures += 1
-            continue
-        candidates = _filtered_candidates(result, filter_vocab, per_word_limit)
-        if candidates:
-            entries[word] = candidates
-    if failures * 2 > len(words):
-        raise BackendError(
-            f"{failures}/{len(words)} word translations failed; aborting"
-        )
-    return entries
+    """The candidates of each word that has any; a failed word has none."""
+    results = generate_each(llm, requests, max_workers, "word translations")
+    return {
+        word: candidates
+        for word, completions in zip(words, results)
+        if (candidates := _filtered_candidates(completions, filter_vocab, limit))
+    }
 
 
 def mine_forward(
@@ -143,24 +131,14 @@ def mine_forward(
     if not len(vocab_src):
         raise DataError("source vocabulary is empty")
     src, trg = vocab_src.language, vocab_tgt.language
-    prompts = [
-        word_translation_prompt(
-            word, src.display_name, trg.display_name, shots, config.templates
-        )
+    mode = DecodingMode.random_sampling(config.temperature, config.seed)
+    requests = [
+        word_request(word, src, trg, shots, config.templates,
+                     config.max_word_tokens, mode, num_samples=config.n)
         for word in vocab_src.words
     ]
-
-    def request_of(prompt: str) -> GenerationRequest:
-        return GenerationRequest(
-            prompt=prompt,
-            num_samples=config.n,
-            mode=DecodingMode.random_sampling(config.temperature, config.seed),
-            stop=StopCondition.whitespace(),
-            max_new_tokens=config.max_word_tokens,
-        )
-
     entries = _translate_words(
-        vocab_src.words, prompts, vocab_tgt, request_of, llm, config.n, max_workers
+        vocab_src.words, requests, vocab_tgt, config.n, llm, max_workers
     )
     return CandidatePool(direction=(src, trg), entries=entries)
 
@@ -181,25 +159,11 @@ def mine_backward(
         raise DataError("forward pool is empty")
     src, trg = forward.direction
     targets = forward.distinct_candidates()
-    prompts = [
-        word_translation_prompt(
-            word, trg.display_name, src.display_name, shots, config.templates
-        )
+    requests = [
+        word_request(word, trg, src, shots, config.templates, config.max_word_tokens)
         for word in targets
     ]
-
-    def request_of(prompt: str) -> GenerationRequest:
-        return GenerationRequest(
-            prompt=prompt,
-            num_samples=1,
-            mode=DecodingMode.greedy(),
-            stop=StopCondition.whitespace(),
-            max_new_tokens=config.max_word_tokens,
-        )
-
-    entries = _translate_words(
-        targets, prompts, vocab_src, request_of, llm, 1, max_workers
-    )
+    entries = _translate_words(targets, requests, vocab_src, 1, llm, max_workers)
     return CandidatePool(direction=(trg, src), entries=entries)
 
 

@@ -296,12 +296,67 @@ class TestGenerateEach:
         got = generate_each(
             FakeLLM(), [GenerationRequest(prompt=p) for p in prompts], max_workers=2
         )
-        texts = [r if isinstance(r, BackendError) else r[0].text for r in got]
-        assert texts == ["HIT", "B", got[2], "B", "HIT"]
-        assert isinstance(got[2], BackendError)
+        assert [r[0].text if r else None for r in got] == [
+            "HIT", "B", None, "B", "HIT"
+        ]
         assert sorted(prompt for prompt, _ in calls) == ["b", "bad", "hit"]
         caller = threading.get_ident()
         assert all((thread == caller) == (p == "hit") for p, thread in calls)
+
+    class Failing:
+        """Raw backend that rejects every prompt starting with "bad"."""
+
+        backend_id, model_id = "failing", "m"
+
+        def __init__(self):
+            self.calls = []
+
+        def generate(self, request):
+            self.calls.append(request.prompt)
+            if request.prompt.startswith("bad"):
+                raise BackendRejected(f"rejected {request.prompt}")
+            return [ScoredCompletion(request.prompt.upper(), 0.0)]
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_exactly_half_failing_is_tolerated_and_one_more_aborts(self, max_workers):
+        def run(prompts):
+            requests = [GenerationRequest(prompt=p) for p in prompts]
+            return generate_each(self.Failing(), requests, max_workers, "lines")
+
+        got = run(["ok", "bad", "ok2", "bad"])
+        ok, ok2 = [ScoredCompletion("OK", 0.0)], [ScoredCompletion("OK2", 0.0)]
+        assert got == [ok, [], ok2, []]
+        # repeats count as passed: one distinct failure is 3 of 5 requests
+        with pytest.raises(BackendError, match="3/5 lines failed; aborting"):
+            run(["ok", "bad", "ok2", "bad", "bad"])
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_abort_is_chained_from_first_failure_in_input_order(self, max_workers):
+        class SlowFirst(self.Failing):
+            def generate(self, request):
+                if request.prompt == "bad-first":
+                    time.sleep(0.05)  # the later failure comes back first
+                return super().generate(request)
+
+        prompts = ("ok", "bad-first", "bad-second")
+        requests = [GenerationRequest(prompt=p) for p in prompts]
+        with pytest.raises(BackendError, match=r"2/3 .* rejected bad-first") as info:
+            generate_each(SlowFirst(), requests, max_workers)
+        assert isinstance(info.value.__cause__, BackendRejected)
+        assert str(info.value.__cause__) == "rejected bad-first"
+
+    def test_failed_request_is_sent_once_and_not_cached(self, tmp_path, caplog):
+        backend = self.Failing()
+        llm = CachingLLM(backend, ResponseCache(tmp_path / "cache"))
+        bad, ok = GenerationRequest(prompt="bad"), GenerationRequest(prompt="ok")
+        got = generate_each(llm, [bad, ok, bad, ok], max_workers=4)
+        assert got == [[], [ScoredCompletion("OK", 0.0)]] * 2
+        assert sorted(backend.calls) == ["bad", "ok"]
+        assert len(caplog.records) == 1 and "rejected bad" in caplog.text
+        assert llm.cached(ok) and not llm.cached(bad)
+        # a second call gets the success from the cache and sends the failure again
+        generate_each(llm, [bad, ok], max_workers=4)
+        assert sorted(backend.calls) == ["bad", "bad", "ok"]
 
 
 class TestFixtureEmbedding:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import configparser
 import json
 import os
 import subprocess
@@ -69,6 +70,40 @@ class TestExitCodes:
             toy_args("evaluate", tmp_path, "--hyp", str(hyp), "--ref", str(ref))
         )
         assert rc == 4
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("metrics", "chrf_char_ngram", "0"),
+        ("metrics", "bleu_smoothing", "bogus"),
+        ("metrics", "bleu_tokenizer", "subword:nope.txt"),
+        ("mining", "max_word_tokens", "0"),
+        ("mining", "beam_width", "0"),  # with beam decoding
+        ("backend", "embedding_dim", "0"),
+    ])
+    def test_invalid_field_is_2_before_any_stage(
+        self, tmp_path, capsys, section, key, value
+    ):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(TOY_INI, encoding="utf-8")
+        for name, options in parser.items():
+            for option, path in options.items():
+                if (TOY / path).is_file():
+                    parser.set(name, option, str(TOY / path))
+        parser.set("mining", "sentence_decoding", "beam")
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+        config = tmp_path / "bad.ini"
+        with config.open("w", encoding="utf-8") as fh:
+            parser.write(fh)
+
+        with pytest.raises(ConfigError):
+            load_config(config).validate()
+        rc = main(["run-all", "--config", str(config),
+                   "--output-dir", str(tmp_path / "out"),
+                   "--cache-dir", str(tmp_path / "cache")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("run-*"))
 
 
 class TestMineWords:

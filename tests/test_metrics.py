@@ -262,9 +262,13 @@ class TestSubwordTokenizer:
         config = BleuConfig(tokenizer=f"subword:{vocab}")
         assert bleu(["the cat"], ["the cat"], config) == pytest.approx(100.0)
 
-    def test_unknown_tokenizer_spec(self):
+    def test_unknown_tokenizer_spec(self, tmp_path):
         with pytest.raises(ConfigError):
             resolve_tokenizer("bpe")
+        with pytest.raises(ConfigError, match="unknown BLEU tokenizer"):
+            BleuConfig(tokenizer="bpe")
+        with pytest.raises(ConfigError, match="subword vocabulary not found"):
+            BleuConfig(tokenizer=f"subword:{tmp_path / 'missing.txt'}")
 
 
 class TestEvaluateCorpus:

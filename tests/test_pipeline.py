@@ -100,30 +100,57 @@ def test_changed_reference_is_rescored(tmp_path, toy_dir):
     )
 
 
-@pytest.mark.parametrize("concurrency", [1, 8])
-def test_failed_translation_aborts_the_stage(tmp_path, toy_dir, concurrency):
-    pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path, concurrency)
-    sources = (toy_dir / "test.ava.txt").read_text(encoding="utf-8").splitlines()
-    backend = pipeline.llm.backend
+def rejecting(backend, sources: list[str], indices: set[int]):
+    """`backend`, except that it rejects the zero-shot translation of the
+    test sources at `indices`, as an HTTP 4xx would."""
 
     class Rejecting:
         backend_id, model_id = backend.backend_id, backend.model_id
 
         def generate(self, request):
-            for index in (3, 1):
+            for index in indices:
                 if request.prompt.endswith(f"Avalian: {sources[index]}\nZorvan:"):
                     raise BackendRejected(f"sentence {index}")
             return backend.generate(request)
 
-    pipeline.llm.backend = Rejecting()
-    with pytest.raises(BackendError, match="sentence 1"):
+    return Rejecting()
+
+
+def golden_lines(toy_dir: Path, name: str) -> list[str]:
+    return lines(next((toy_dir / "golden").glob("run-*")) / name)
+
+
+@pytest.mark.parametrize("concurrency", [1, 8])
+def test_one_failed_translation_leaves_its_line_empty(tmp_path, toy_dir, concurrency):
+    pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path, concurrency)
+    sources = lines(toy_dir / "test.ava.txt")
+    pipeline.llm.backend = rejecting(pipeline.llm.backend, sources, {1})
+    hyp = pipeline.translate("zero_shot")
+
+    expected = golden_lines(toy_dir, "hyp.zero_shot.txt")
+    assert expected[1]
+    expected[1] = ""
+    assert lines(hyp) == expected
+
+
+@pytest.mark.parametrize("concurrency", [1, 8])
+def test_failed_translation_aborts_the_stage(tmp_path, toy_dir, concurrency):
+    # a stage aborts when more than half of its requests fail
+    pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path, concurrency)
+    sources = lines(toy_dir / "test.ava.txt")
+    backend = pipeline.llm.backend
+    pipeline.llm.backend = rejecting(backend, sources, {5, 3, 1, 4})
+    with pytest.raises(
+        BackendError, match=r"4/6 translations failed; aborting \(first: sentence 1\)"
+    ) as info:
         pipeline.translate("zero_shot")
+    assert isinstance(info.value.__cause__, BackendRejected)
     assert not list(pipeline.run_dir.glob("hyp.zero_shot.txt*"))
 
     # the failed build was not remembered: the same Pipeline builds it now
     pipeline.llm.backend = backend
     hyp = pipeline.translate("zero_shot")
-    assert len(lines(hyp)) == len(sources)
+    assert lines(hyp) == golden_lines(toy_dir, "hyp.zero_shot.txt")
     assert hyp.with_name(hyp.name + ".manifest.json").exists()
 
 

@@ -52,7 +52,6 @@ def make_pool(sims, texts=None, origin="mined"):
 def make_w2w(entries):
     return W2wCorpus(
         pairs=tuple(entries),
-        shots_used=(),
         stats=tuple(SentenceStats(1, 0) for _ in entries),
     )
 

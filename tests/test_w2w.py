@@ -6,7 +6,7 @@ import pytest
 
 from icl_miner.backends import MockLLMBackend
 from icl_miner.corpus import LanguageSpec
-from icl_miner.errors import DataError
+from icl_miner.errors import BackendError, DataError
 from icl_miner.prompts import word_translation_prompt
 from icl_miner.tokens import segment
 from icl_miner.w2w import W2wTranslator, build_w2w, read_w2w, write_w2w
@@ -48,9 +48,9 @@ class TestTranslateWordIcl:
     def test_unfixtured_word_copies_through(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
         translator = W2wTranslator(SHOTS, llm, AVA, ZOR)
+        translator.warm_up(["gato", "xyzzy"])  # one failure in two is tolerated
         assert translator.translate("xyzzy") == ("xyzzy", True)
-        translator.warm_up(["perro"])
-        assert translator.translate("perro") == ("perro", True)
+        assert translator.translate("gato") == ("cat", False)
 
     def test_memoization_single_backend_call(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
@@ -110,6 +110,14 @@ class TestBuildW2w:
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
         build_w2w(["zz zz zz gato"], SHOTS, llm, AVA, ZOR)
         assert llm.call_count == 2  # one attempt for zz, one for gato
+
+    def test_majority_of_failed_words_aborts(self, tmp_path):
+        llm = lexicon_backend(tmp_path, {"gato": "cat"})
+        with pytest.raises(BackendError, match="2/3 word translations failed"):
+            build_w2w(["gato xyzzy perro .", "perro"], SHOTS, llm, AVA, ZOR)
+        # a lone word that fails is a majority too
+        with pytest.raises(BackendError, match="1/1 word translations failed"):
+            W2wTranslator(SHOTS, llm, AVA, ZOR).translate("xyzzy")
 
     def test_empty_sentence_list_rejected(self, tmp_path):
         llm = lexicon_backend(tmp_path, {})
