@@ -1,9 +1,9 @@
 """Pipeline configuration: an INI file plus command-line overrides.
 
-Relative paths are resolved against the config file's directory, but the
-run-directory hash is computed over the values as written, so moving a
-checkout does not invalidate runs. Only the API key comes from the
-environment.
+Relative paths, and the vocabulary of a `subword:<file>` BLEU tokenizer,
+are resolved against the config file's directory, but the run-directory
+hash is computed over the values as written, so moving a checkout does not
+invalidate runs. Only the API key comes from the environment.
 """
 
 from __future__ import annotations
@@ -329,6 +329,10 @@ _INT_FIELDS = {f.name for f in fields(PipelineConfig) if f.type == "int"}
 _FLOAT_FIELDS = {f.name for f in fields(PipelineConfig) if f.type == "float"}
 
 
+def _resolve(base_dir: Path, path: str) -> str:
+    return path if Path(path).is_absolute() else str((base_dir / path).resolve())
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Parse an INI config file and apply command-line overrides."""
     config_path = Path(path)
@@ -365,10 +369,14 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
                     value = float(raw)
                 except ValueError:
                     raise ConfigError(f"[{section}] {key} must be a number") from None
+            vocab = metrics.subword_vocab(raw) if field_name == "bleu_tokenizer" else None
             if field_name in _PATH_FIELDS and raw:
                 if field_name not in PLUMBING_FIELDS:
                     raw_semantic[field_name] = raw
-                value = str((base_dir / raw).resolve()) if not Path(raw).is_absolute() else raw
+                value = _resolve(base_dir, raw)
+            elif vocab:
+                raw_semantic[field_name] = raw
+                value = "subword:" + _resolve(base_dir, vocab)
             setattr(config, field_name, value)
 
     config.raw_semantic = raw_semantic

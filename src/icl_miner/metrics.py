@@ -31,9 +31,10 @@ a slice of line pairs into integer statistics (per-order totals and
 matches, and for BLEU the two lengths); the score is then a float function
 of those integers over the whole corpus. Given a process pool (`pool=`),
 `chrf_pp` and `bleu` split the lines into contiguous chunks, one per CPU,
-hand every chunk to the pool's workers while this process waits, and add
-the integers up. Integer sums do not depend on the chunking, so a
-score is the same, bit for bit, with or without a pool.
+hand every chunk to the pool's workers while the calling thread waits, and
+add the integers up; the process's other threads, such as the pipeline's
+next translation, run meanwhile. Integer sums do not depend on the
+chunking, so a score is the same, bit for bit, with or without a pool.
 """
 
 from __future__ import annotations
@@ -192,10 +193,11 @@ def _summed_stats(
 
     With a pool, the line pairs are split into contiguous chunks, one per
     CPU, the pool's workers score every chunk, and the integer statistics
-    are added up in chunk order. This process only waits: scoring a chunk
-    here would hold the interpreter lock that the executor's threads need
-    to hand the workers theirs. Integer sums do not depend on the chunking,
-    so neither do the scores.
+    are added up in chunk order. The calling thread only waits: scoring a
+    chunk here would hold the interpreter lock that the executor's threads
+    need to hand the workers theirs, and that the process's other threads
+    need to go on with their own work. Integer sums do not depend on the
+    chunking, so neither do the scores.
     """
     if pool is None:
         return stats(hypotheses, references, *args)

@@ -10,10 +10,12 @@ nothing. Each stage pulls the stages it reads: `evaluate_policy` calls
 `translate`, which calls what its policy needs. A `Pipeline` remembers each
 stage it has found current or has built, and checks it no more; this holds
 while nothing else writes the run directory (the CLI holds `RunLock`), and
-a new `Pipeline` picks up edited inputs. `run_all` scores chrF++/BLEU with
-a pool of forked worker processes, one per CPU, that it shuts down when it
-returns or raises. The run directory is named by the config hash and
-guarded by a lock file.
+a new `Pipeline` picks up edited inputs. `run_all` scores each policy on
+one scorer thread while the next policy translates on the calling thread;
+the scorer hands the chrF++/BLEU counting to a pool of forked worker
+processes, one per CPU. Both are shut down when `run_all` returns or
+raises. The run directory is named by the config hash and guarded by a
+lock file.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import logging
 import multiprocessing
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -75,20 +77,22 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _scoring_pool() -> ProcessPoolExecutor | None:
-    """Worker processes that score every chrF++/BLEU chunk while this
-    process waits.
+    """Worker processes that score every chrF++/BLEU chunk.
 
-    One per CPU; None with one CPU or where processes cannot be forked. The
-    workers fork at the first scoring call, maybe before a later policy's
-    upstream stages run, and a fork copies only the calling thread. That is
-    safe: every stage joins its worker threads before it returns.
+    One per CPU; None with one CPU or where processes cannot be forked. All
+    workers fork here, before this returns: a fork copies only the calling
+    thread, so it must happen while the process has one thread, and
+    `run_all` calls this before any stage or the scorer thread starts one.
+    A fork pool starts every worker at its first submit and none later.
     (`forkserver` and `spawn` would re-run the calling script in each
     worker, which breaks a script without a `__main__` guard.)
     """
     workers = metrics.usable_cpus()
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return None
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool.submit(int).result()
+    return pool
 
 
 class RunLock:
@@ -503,11 +507,15 @@ class Pipeline:
         return ref_path
 
     def evaluate_policy(
-        self, policy: str, *, pool: Executor | None = None
-    ) -> metrics.EvalReport:
-        """Stage 5: score the hypotheses of `translate(policy)`, which it
-        pulls, against the test targets. `pool`, if given, is a process pool
-        that shares the scoring.
+        self, policy: str, scorer: Executor, pool: Executor | None = None
+    ) -> Future[metrics.EvalReport]:
+        """Stage 5: score the hypotheses of `translate(policy)` against the
+        test targets.
+
+        The translation and the reference are pulled on the calling thread;
+        the `evaluate.<policy>` stage runs on `scorer`, and the returned
+        future holds its report. `pool`, if given, is a process pool that
+        shares the scoring. Scoring sends no backend request.
         """
         hyp_path = self.translate(policy)
         ref_path = self._reference()
@@ -521,18 +529,39 @@ class Pipeline:
             report = self.evaluate(hyp_path, ref_path, system=policy, pool=pool)
             _write_json(report_path, json.loads(report.to_json()))
 
-        self._stage(f"evaluate.{policy}", inputs, [report_path], build)
-        return metrics.EvalReport.from_json(report_path.read_text(encoding="utf-8"))
+        def score() -> metrics.EvalReport:
+            self._stage(f"evaluate.{policy}", inputs, [report_path], build)
+            return metrics.EvalReport.from_json(report_path.read_text(encoding="utf-8"))
+
+        return scorer.submit(score)
 
     # --------------------------------------------------------------- run-all
 
     def run_all(self, policies: Sequence[str] | None = None) -> list[metrics.EvalReport]:
+        """Translate and score `policies` (default: the config's), in order,
+        and write `report.txt`.
+
+        Each policy is scored on one scorer thread while the next one
+        translates here. Before each translation, the error of a scoring
+        that has already failed is raised; on any error the pending scorings
+        are cancelled, and the one running is waited for.
+        """
         selected = tuple(policies) if policies else self.config.effective_policies()
         for policy in selected:  # reject a policy before any stage runs
             self.config.policy(policy)
         pool = _scoring_pool()
         with pool or contextlib.nullcontext():
-            reports = [self.evaluate_policy(policy, pool=pool) for policy in selected]
+            scorer = ThreadPoolExecutor(1, thread_name_prefix="scorer")
+            try:
+                futures: list[Future[metrics.EvalReport]] = []
+                for policy in selected:
+                    for future in futures:
+                        if future.done():
+                            future.result()  # raises a failed scoring's error
+                    futures.append(self.evaluate_policy(policy, scorer, pool))
+                reports = [future.result() for future in futures]
+            finally:
+                scorer.shutdown(cancel_futures=True)
         write_lines(
             self.run_dir / "report.txt", [report.row() for report in reports]
         )

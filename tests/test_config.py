@@ -59,6 +59,23 @@ class TestLoadConfig:
         config = load_config(minimal_ini(tmp_path))
         assert config.source_vocab == str(tmp_path / "vocab.a")
 
+    def test_subword_vocab_resolved_against_config_dir(self, tmp_path, monkeypatch):
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        (conf / "pieces.txt").write_text("ak\nlu\n", encoding="utf-8")
+        path = minimal_ini(conf, metrics=["bleu_tokenizer = subword:pieces.txt"])
+        monkeypatch.chdir(conf)
+        at_conf = load_config(path)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        config = load_config(path)
+        config.validate()
+        assert config.bleu_tokenizer == f"subword:{conf / 'pieces.txt'}"
+        # the run hash keeps the value as written
+        assert config.semantic_dict()["bleu_tokenizer"] == "subword:pieces.txt"
+        assert config.run_hash() == at_conf.run_hash()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")

@@ -380,6 +380,7 @@ def test_no_alphanumeric_code_point_is_punctuation():
 def pool():
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(2, mp_context=context) as executor:
+        executor.submit(int).result()  # the workers start with the fixture
         yield executor
 
 

@@ -6,7 +6,9 @@ import json
 import multiprocessing
 import os
 import shutil
+import threading
 from collections import Counter
+from concurrent.futures import wait
 from pathlib import Path
 
 import pytest
@@ -237,8 +239,8 @@ def test_scoring_pool_needs_two_cpus(monkeypatch):
 
 
 def test_scoring_workers_exit_with_run_all(tmp_path, toy_dir, monkeypatch):
-    # three workers, so the pool is used on a machine with one CPU too; a
-    # fork pool starts all of them at the first submit
+    # three workers, so the pool is used on a machine with one CPU too; all
+    # of them start before the first stage runs
     monkeypatch.setattr(metrics, "usable_cpus", lambda: 3)
     pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
     pipeline.run_all()
@@ -259,6 +261,78 @@ def test_scoring_workers_exit_with_run_all(tmp_path, toy_dir, monkeypatch):
         pipeline.run_all(["zero_shot", "random"])
     assert len(alive) == 3
     assert multiprocessing.active_children() == []
+
+
+def test_policy_is_scored_while_the_next_translates(tmp_path, toy_dir):
+    pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
+    translate, evaluate = pipeline.translate, pipeline.evaluate
+    second_translating = threading.Event()
+
+    def signalling_translate(policy):
+        if policy == "random":
+            second_translating.set()
+        return translate(policy)
+
+    def waiting_evaluate(hyp_path, ref_path, system="system", **kwargs):
+        # a serial run_all translates "random" only after this returns
+        if system == "zero_shot" and not second_translating.wait(timeout=10):
+            raise AssertionError("zero_shot was not scored while random translated")
+        return evaluate(hyp_path, ref_path, system, **kwargs)
+
+    pipeline.translate, pipeline.evaluate = signalling_translate, waiting_evaluate
+    reports = pipeline.run_all(["zero_shot", "random"])
+    assert [report.system for report in reports] == ["zero_shot", "random"]
+    golden = golden_lines(toy_dir, "report.txt")  # zero_shot, uw2w, random, ...
+    assert lines(pipeline.run_dir / "report.txt") == [golden[0], golden[2]]
+
+
+def test_scoring_error_stops_the_run_before_the_next_translation(tmp_path, toy_dir):
+    pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
+    translate, evaluate_policy = pipeline.translate, pipeline.evaluate_policy
+    translated, scorings = [], []
+    second_translating = threading.Event()
+
+    def failing_evaluate(*args, **kwargs):
+        second_translating.wait(timeout=10)
+        raise DataError("injected scoring error")
+
+    def recording_evaluate_policy(policy, *args, **kwargs):
+        scorings.append(evaluate_policy(policy, *args, **kwargs))
+        return scorings[-1]
+
+    def waiting_translate(policy):
+        translated.append(policy)
+        if policy == "random":  # the scoring of zero_shot fails meanwhile
+            second_translating.set()
+            done, _ = wait(scorings, timeout=10)
+            assert done == set(scorings)
+        return translate(policy)
+
+    pipeline.evaluate = failing_evaluate
+    pipeline.evaluate_policy = recording_evaluate_policy
+    pipeline.translate = waiting_translate
+    with pytest.raises(DataError, match="injected scoring error"):
+        pipeline.run_all(["zero_shot", "random", "topk"])
+    assert translated == ["zero_shot", "random"]
+    assert not (pipeline.run_dir / "report.zero_shot.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_scoring_workers_fork_while_the_process_has_one_thread(
+    tmp_path, toy_dir, monkeypatch
+):
+    # a fork copies only the forking thread: a lock another thread holds
+    # would stay locked in the worker
+    monkeypatch.setattr(metrics, "usable_cpus", lambda: 3)
+    threads_at_fork, recording = [], [True]
+    os.register_at_fork(  # stays registered: `recording` switches it off
+        before=lambda: recording and threads_at_fork.append(threading.active_count())
+    )
+    try:
+        toy_pipeline(toy_dir / "toy.ini", tmp_path, concurrency=8).run_all()
+    finally:
+        recording.clear()
+    assert threads_at_fork == [1, 1, 1]
 
 
 @pytest.mark.parametrize("concurrency", [1, 8])
