@@ -49,11 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine-sentences", help="mine the pseudo-parallel pool")
     _add_common_flags(p)
-    p.add_argument(
-        "--auto",
-        action="store_true",
-        help="run mine-words first when the lexicon is missing",
-    )
 
     p = sub.add_parser("translate", help="translate the test set")
     _add_common_flags(p)
@@ -107,7 +102,7 @@ def _run(args: argparse.Namespace) -> int:
             lexicon = pipeline.mine_words()
             print(f"lexicon: {lexicon}")
         elif args.command == "mine-sentences":
-            pool_path = pipeline.mine_sentences(auto=args.auto)
+            pool_path = pipeline.mine_sentences()
             from .sentence_mining import read_pool
 
             print(f"pool: {pool_path} ({len(read_pool(pool_path))} pairs)")

@@ -1,5 +1,11 @@
 """Pipeline configuration: an INI file plus command-line overrides.
 
+The INI file has seven sections: [languages], [paths], [backend], [mining],
+[prompts], [metrics] and [run]. Each `PipelineConfig` field declares, once,
+its `section.key` in the file, whether it is a path, and the bounds or
+choices that `validate()` checks. A key that no field declares is
+rejected, in whatever section it appears.
+
 Relative paths, and the vocabulary of a `subword:<file>` BLEU tokenizer,
 are resolved against the config file's directory, but the run-directory
 hash is computed over the values as written, so moving a checkout does not
@@ -17,15 +23,18 @@ from pathlib import Path
 from . import metrics
 from .errors import ConfigError
 
-# §-free defaults: these mirror the published experimental constants
-DEFAULTS = {
-    "n": 10,
-    "k_wp": 10,
-    "k": 8,
-    "tau": 0.90,
-    "fallback_m": 20,
-    "iterations": 1,
-}
+
+def _ini(key: str, default, *, path: bool = False, least=None, most=None,
+         above=None, choices: tuple = ()):
+    """A config field read from INI key `key` ("section.name").
+
+    A `path` is resolved against the config file's directory. `validate()`
+    checks `least` and `most` (inclusive), `above` (exclusive) and `choices`.
+    """
+    return field(default=default, metadata={
+        "key": key, "path": path, "least": least, "most": most,
+        "above": above, "choices": choices,
+    })
 
 
 @dataclass(frozen=True)
@@ -61,66 +70,72 @@ PLUMBING_FIELDS = {"output_dir", "cache_dir", "concurrency"}
 
 @dataclass
 class PipelineConfig:
-    # languages
-    source_code: str = ""
-    target_code: str = ""
-    source_name: str = ""
-    target_name: str = ""
-    # paths (resolved); empty string means "not provided"
-    source_vocab: str = ""
-    target_vocab: str = ""
-    unlabeled: str = ""
-    test_source: str = ""
-    test_target: str = ""
-    gold_dev_source: str = ""
-    gold_dev_target: str = ""
-    w2w_source: str = ""
-    output_dir: str = "out"
-    # backend
-    backend_kind: str = "mock"  # mock | http
-    base_url: str = ""
-    model: str = ""
-    llm_fixture: str = ""
-    embedding_kind: str = "trigram"  # trigram | fixture | http
-    embedding_fixture: str = ""
-    embedding_base_url: str = ""
-    embedding_model: str = ""
-    embedding_dim: int = 256
-    cache_dir: str = ".icl-cache"
+    source_code: str = _ini("languages.source", "")
+    target_code: str = _ini("languages.target", "")
+    source_name: str = _ini("languages.source_name", "")
+    target_name: str = _ini("languages.target_name", "")
+    # an empty path means "not provided"
+    source_vocab: str = _ini("paths.source_vocab", "", path=True)
+    target_vocab: str = _ini("paths.target_vocab", "", path=True)
+    unlabeled: str = _ini("paths.unlabeled", "", path=True)
+    test_source: str = _ini("paths.test_source", "", path=True)
+    test_target: str = _ini("paths.test_target", "", path=True)
+    gold_dev_source: str = _ini("paths.gold_dev_source", "", path=True)
+    gold_dev_target: str = _ini("paths.gold_dev_target", "", path=True)
+    w2w_source: str = _ini("paths.w2w_source", "", path=True)
+    output_dir: str = _ini("paths.output_dir", "out", path=True)
+    backend_kind: str = _ini("backend.kind", "mock", choices=("mock", "http"))
+    base_url: str = _ini("backend.base_url", "")
+    model: str = _ini("backend.model", "")
+    llm_fixture: str = _ini("backend.llm_fixture", "", path=True)
+    embedding_kind: str = _ini(
+        "backend.embedding", "trigram", choices=("trigram", "fixture", "http")
+    )
+    embedding_fixture: str = _ini("backend.embedding_fixture", "", path=True)
+    embedding_base_url: str = _ini("backend.embedding_base_url", "")
+    embedding_model: str = _ini("backend.embedding_model", "")
+    embedding_dim: int = _ini("backend.embedding_dim", 256, least=1)
+    cache_dir: str = _ini("backend.cache_dir", ".icl-cache", path=True)
     # max backend requests in flight, LLM and embedding together, in every
     # stage including translation
-    concurrency: int = 1
-    # mining constants
-    n: int = DEFAULTS["n"]
-    k_wp: int = DEFAULTS["k_wp"]
-    k: int = DEFAULTS["k"]
-    tau: float = DEFAULTS["tau"]
-    fallback_m: int = DEFAULTS["fallback_m"]
-    iterations: int = DEFAULTS["iterations"]
-    vocab_size: int = 10000
-    seed: int = 0
-    temperature: float = 1.0
-    sentence_decoding: str = "greedy"  # greedy | beam
-    beam_width: int = 4
-    max_word_tokens: int = 8
-    max_sentence_tokens: int = 256
-    shot_order: str = "best_last"  # best_last | best_first
-    shot_strategy: str = "first_k"  # first_k | top_sim
+    concurrency: int = _ini("backend.concurrency", 1, least=1)
+    # n, k_wp, k, tau and fallback_m (m) default to the published constants
+    n: int = _ini("mining.n", 10, least=1)
+    k_wp: int = _ini("mining.k_wp", 10, least=1)
+    k: int = _ini("mining.k", 8, least=1)
+    tau: float = _ini("mining.tau", 0.90, least=0, most=1)
+    fallback_m: int = _ini("mining.fallback_m", 20, least=1)
+    iterations: int = _ini("mining.iterations", 1, least=1)
+    vocab_size: int = _ini("mining.vocab_size", 10000, least=1)
+    seed: int = _ini("mining.seed", 0)
+    temperature: float = _ini("mining.temperature", 1.0, above=0)
+    sentence_decoding: str = _ini(
+        "mining.sentence_decoding", "greedy", choices=("greedy", "beam")
+    )
+    # checked only under beam decoding
+    beam_width: int = _ini("mining.beam_width", 4)
+    max_word_tokens: int = _ini("mining.max_word_tokens", 8, least=1)
+    max_sentence_tokens: int = _ini("mining.max_sentence_tokens", 256, least=1)
+    shot_order: str = _ini(
+        "mining.shot_order", "best_last", choices=("best_last", "best_first")
+    )
+    shot_strategy: str = _ini(
+        "mining.shot_strategy", "first_k", choices=("first_k", "top_sim")
+    )
     # prompt template overrides (empty = built-in)
-    word_zero_shot_template: str = ""
-    word_shot_header_template: str = ""
-    sentence_header_template: str = ""
-    # metrics
-    chrf_char_ngram: int = 6
-    chrf_word_ngram: int = 2
-    chrf_beta: float = 2.0
-    bleu_max_ngram: int = 4
-    bleu_smoothing: str = "epsilon"
-    bleu_tokenizer: str = "whitespace"
-    # run
-    policies: tuple[str, ...] = ()
-    bm25_k1: float = 1.5
-    bm25_b: float = 0.75
+    word_zero_shot_template: str = _ini("prompts.word_zero_shot", "")
+    word_shot_header_template: str = _ini("prompts.word_shot_header", "")
+    sentence_header_template: str = _ini("prompts.sentence_header", "")
+    # checked by chrf_config() and bleu_config()
+    chrf_char_ngram: int = _ini("metrics.chrf_char_ngram", 6)
+    chrf_word_ngram: int = _ini("metrics.chrf_word_ngram", 2)
+    chrf_beta: float = _ini("metrics.chrf_beta", 2.0)
+    bleu_max_ngram: int = _ini("metrics.bleu_max_ngram", 4)
+    bleu_smoothing: str = _ini("metrics.bleu_smoothing", "epsilon")
+    bleu_tokenizer: str = _ini("metrics.bleu_tokenizer", "whitespace")
+    policies: tuple[str, ...] = _ini("run.policies", ())
+    bm25_k1: float = _ini("mining.bm25_k1", 1.5, least=0)
+    bm25_b: float = _ini("mining.bm25_b", 0.75, least=0, most=1)
     # raw values as written in the INI, used for the stable run hash
     raw_semantic: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -163,8 +178,8 @@ class PipelineConfig:
         has_gold = bool(self.gold_dev_source and self.gold_dev_target)
         if policy.pool == "gold" and not has_gold:
             raise ConfigError(
-                f"policy {name!r} needs paths.gold_dev_source and "
-                "paths.gold_dev_target"
+                f"policy {name!r} needs {_KEYS['gold_dev_source']} and "
+                f"{_KEYS['gold_dev_target']}"
             )
         return policy
 
@@ -186,54 +201,56 @@ class PipelineConfig:
         )
 
     def validate(self) -> None:
-        """Check field ranges and that every referenced path exists."""
-        for name in ("source_code", "target_code"):
+        """Check required fields, each field's declared bounds, choices and
+        path, and the rules that tie fields together."""
+        for name in ("source_code", "target_code", "source_vocab", "target_vocab",
+                     "unlabeled", "test_source", "test_target"):
             if not getattr(self, name):
                 raise ConfigError(f"missing config field: {_KEYS[name]}")
-        checked_paths = _PATH_FIELDS - PLUMBING_FIELDS
-        for name, key in _KEYS.items():
-            value = getattr(self, name)
-            if name in checked_paths and value and not Path(value).exists():
+        for f in fields(self):
+            meta, value = f.metadata, getattr(self, f.name)
+            if not meta:
+                continue
+            key = meta["key"]
+            if (meta["path"] and value and f.name not in PLUMBING_FIELDS
+                    and not Path(value).exists()):
                 raise ConfigError(f"{key}: path does not exist: {value}")
-        for name in ("source_vocab", "target_vocab", "unlabeled",
-                     "test_source", "test_target"):
-            if not getattr(self, name):
-                raise ConfigError(f"missing config field: {_KEYS[name]}")
-        if self.backend_kind not in ("mock", "http"):
-            raise ConfigError("backend.kind must be mock or http")
+            if meta["choices"] and value not in meta["choices"]:
+                raise ConfigError(
+                    f"{key} must be one of {', '.join(meta['choices'])} "
+                    f"(got {value!r})"
+                )
+            # written as `not ...` so that NaN fails every bound
+            if meta["least"] is not None and not value >= meta["least"]:
+                raise ConfigError(f"{key} must be >= {meta['least']} (got {value})")
+            if meta["most"] is not None and not value <= meta["most"]:
+                raise ConfigError(f"{key} must be <= {meta['most']} (got {value})")
+            if meta["above"] is not None and not value > meta["above"]:
+                raise ConfigError(f"{key} must be > {meta['above']} (got {value})")
         if self.backend_kind == "mock" and not self.llm_fixture:
-            raise ConfigError("backend.llm_fixture is required for the mock backend")
+            raise ConfigError(f"{_KEYS['llm_fixture']} is required for the mock backend")
         if self.backend_kind == "http" and not self.base_url:
-            raise ConfigError("backend.base_url is required for the http backend")
-        if self.embedding_kind not in ("trigram", "fixture", "http"):
-            raise ConfigError("backend.embedding must be trigram, fixture, or http")
+            raise ConfigError(f"{_KEYS['base_url']} is required for the http backend")
         if self.embedding_kind == "fixture" and not self.embedding_fixture:
-            raise ConfigError("backend.embedding_fixture is required")
-        for name in ("n", "k_wp", "k", "fallback_m", "iterations", "vocab_size",
-                     "max_word_tokens", "max_sentence_tokens", "embedding_dim"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{_KEYS[name]} must be >= 1 (got {value})")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError(f"mining.tau must be in [0, 1] (got {self.tau})")
+            raise ConfigError(
+                f"{_KEYS['embedding_fixture']} is required for the fixture embedder"
+            )
+        if self.embedding_kind == "http" and not (self.embedding_base_url
+                                                  or self.base_url):
+            raise ConfigError(
+                f"{_KEYS['embedding_base_url']} (or {_KEYS['base_url']}) is "
+                "required for the http embedder"
+            )
         if self.fallback_m < self.k:
-            raise ConfigError("mining.fallback_m must be >= mining.k")
-        if self.temperature <= 0:
-            raise ConfigError("mining.temperature must be positive")
-        if self.sentence_decoding not in ("greedy", "beam"):
-            raise ConfigError("mining.sentence_decoding must be greedy or beam")
+            raise ConfigError(
+                f"{_KEYS['fallback_m']} must be >= {_KEYS['k']} "
+                f"(got {self.fallback_m} < {self.k})"
+            )
         if self.sentence_decoding == "beam" and self.beam_width < 1:
-            raise ConfigError(f"mining.beam_width must be >= 1 (got {self.beam_width})")
-        if self.shot_order not in ("best_last", "best_first"):
-            raise ConfigError("mining.shot_order must be best_last or best_first")
-        if self.shot_strategy not in ("first_k", "top_sim"):
-            raise ConfigError("mining.shot_strategy must be first_k or top_sim")
-        if self.bm25_k1 < 0:
-            raise ConfigError(f"mining.bm25_k1 must be >= 0 (got {self.bm25_k1})")
-        if not 0.0 <= self.bm25_b <= 1.0:
-            raise ConfigError(f"mining.bm25_b must be in [0, 1] (got {self.bm25_b})")
-        if self.concurrency < 1:
-            raise ConfigError("backend.concurrency must be >= 1")
+            raise ConfigError(
+                f"{_KEYS['beam_width']} must be >= 1 under beam decoding "
+                f"(got {self.beam_width})"
+            )
         try:
             self.chrf_config()
             self.bleu_config()
@@ -243,90 +260,12 @@ class PipelineConfig:
             self.policy(name)
 
 
-_SECTION_FIELDS = {
-    "languages": {
-        "source": "source_code",
-        "target": "target_code",
-        "source_name": "source_name",
-        "target_name": "target_name",
-    },
-    "paths": {
-        "source_vocab": "source_vocab",
-        "target_vocab": "target_vocab",
-        "unlabeled": "unlabeled",
-        "test_source": "test_source",
-        "test_target": "test_target",
-        "gold_dev_source": "gold_dev_source",
-        "gold_dev_target": "gold_dev_target",
-        "w2w_source": "w2w_source",
-        "output_dir": "output_dir",
-    },
-    "backend": {
-        "kind": "backend_kind",
-        "base_url": "base_url",
-        "model": "model",
-        "llm_fixture": "llm_fixture",
-        "embedding": "embedding_kind",
-        "embedding_fixture": "embedding_fixture",
-        "embedding_base_url": "embedding_base_url",
-        "embedding_model": "embedding_model",
-        "embedding_dim": "embedding_dim",
-        "cache_dir": "cache_dir",
-        "concurrency": "concurrency",
-    },
-    "mining": {
-        "n": "n",
-        "k_wp": "k_wp",
-        "k": "k",
-        "tau": "tau",
-        "fallback_m": "fallback_m",
-        "iterations": "iterations",
-        "vocab_size": "vocab_size",
-        "seed": "seed",
-        "temperature": "temperature",
-        "sentence_decoding": "sentence_decoding",
-        "beam_width": "beam_width",
-        "max_word_tokens": "max_word_tokens",
-        "max_sentence_tokens": "max_sentence_tokens",
-        "shot_order": "shot_order",
-        "shot_strategy": "shot_strategy",
-        "bm25_k1": "bm25_k1",
-        "bm25_b": "bm25_b",
-    },
-    "prompts": {
-        "word_zero_shot": "word_zero_shot_template",
-        "word_shot_header": "word_shot_header_template",
-        "sentence_header": "sentence_header_template",
-    },
-    "metrics": {
-        "chrf_char_ngram": "chrf_char_ngram",
-        "chrf_word_ngram": "chrf_word_ngram",
-        "chrf_beta": "chrf_beta",
-        "bleu_max_ngram": "bleu_max_ngram",
-        "bleu_smoothing": "bleu_smoothing",
-        "bleu_tokenizer": "bleu_tokenizer",
-    },
-    "run": {
-        "policies": "policies",
-    },
-}
-
-_PATH_FIELDS = {
-    "source_vocab", "target_vocab", "unlabeled", "test_source", "test_target",
-    "gold_dev_source", "gold_dev_target", "w2w_source", "output_dir",
-    "llm_fixture", "embedding_fixture", "cache_dir",
-}
-
-# the "section.key" name of each field, in _SECTION_FIELDS order
-_KEYS = {
-    field_name: f"{section}.{key}"
-    for section, mapping in _SECTION_FIELDS.items()
-    for key, field_name in mapping.items()
-}
+# each field by its "section.key", and each "section.key" by field name
+_FIELDS = {f.metadata["key"]: f for f in fields(PipelineConfig) if f.metadata}
+_KEYS = {f.name: key for key, f in _FIELDS.items()}
 
 # annotations are strings under `from __future__ import annotations`
-_INT_FIELDS = {f.name for f in fields(PipelineConfig) if f.type == "int"}
-_FLOAT_FIELDS = {f.name for f in fields(PipelineConfig) if f.type == "float"}
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 
 
 def _resolve(base_dir: Path, path: str) -> str:
@@ -348,36 +287,32 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     base_dir = config_path.parent
     raw_semantic: dict = {}
 
-    for section, mapping in _SECTION_FIELDS.items():
-        if not parser.has_section(section):
-            continue
+    for section in parser.sections():
         for key in parser.options(section):
-            if key not in mapping:
+            f = _FIELDS.get(f"{section}.{key}")
+            if f is None:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            field_name = mapping[key]
             raw = parser.get(section, key).strip()
             value: object = raw
-            if field_name == "policies":
+            if f.name == "policies":
                 value = tuple(p.strip() for p in raw.split(",") if p.strip())
-            elif field_name in _INT_FIELDS:
+            elif f.type in _NUMBERS:
+                parse, kind = _NUMBERS[f.type]
                 try:
-                    value = int(raw)
+                    value = parse(raw)
                 except ValueError:
-                    raise ConfigError(f"[{section}] {key} must be an integer") from None
-            elif field_name in _FLOAT_FIELDS:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise ConfigError(f"[{section}] {key} must be a number") from None
-            vocab = metrics.subword_vocab(raw) if field_name == "bleu_tokenizer" else None
-            if field_name in _PATH_FIELDS and raw:
-                if field_name not in PLUMBING_FIELDS:
-                    raw_semantic[field_name] = raw
+                    raise ConfigError(
+                        f"[{section}] {key} must be {kind} (got {raw!r})"
+                    ) from None
+            vocab = metrics.subword_vocab(raw) if f.name == "bleu_tokenizer" else None
+            if f.metadata["path"] and raw:
+                if f.name not in PLUMBING_FIELDS:
+                    raw_semantic[f.name] = raw
                 value = _resolve(base_dir, raw)
             elif vocab:
-                raw_semantic[field_name] = raw
+                raw_semantic[f.name] = raw
                 value = "subword:" + _resolve(base_dir, vocab)
-            setattr(config, field_name, value)
+            setattr(config, f.name, value)
 
     config.raw_semantic = raw_semantic
 

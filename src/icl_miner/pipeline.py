@@ -301,15 +301,9 @@ class Pipeline:
         self._stage("w2w", inputs, [w2w_path], build)
         return w2w_path
 
-    def mine_sentences(self, auto: bool = True) -> Path:
+    def mine_sentences(self) -> Path:
         """Stage 3: pseudo-parallel pool mined via back-translation."""
         cfg = self.config
-        lexicon_path = self.run_dir / "lexicon.tsv"
-        if not auto and not lexicon_path.exists():
-            raise DataError(
-                f"lexicon not found at {lexicon_path}; run mine-words first "
-                "or pass --auto"
-            )
         pool_path = self.run_dir / "pool.jsonl"
         w2w_path = self.build_w2w()
 
@@ -449,7 +443,7 @@ class Pipeline:
                 # by text: w2w.jsonl keeps the sources of blank-side pairs
                 rendered = dict(w2w.read_w2w(inputs["w2w"]).pairs)
                 missing = [source for source in sources if source not in rendered]
-                if missing:  # paths.w2w_source names another corpus
+                if missing:  # w2w_source names another corpus
                     rendered.update(w2w.build_w2w(
                         missing, word_mining.read_lexicon(inputs["lexicon"]),
                         self.llm, self.source_lang, self.target_lang,

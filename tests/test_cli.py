@@ -78,6 +78,7 @@ class TestExitCodes:
         ("mining", "max_word_tokens", "0"),
         ("mining", "beam_width", "0"),  # with beam decoding
         ("backend", "embedding_dim", "0"),
+        ("backend", "embedding", "http"),  # with no URL
     ])
     def test_invalid_field_is_2_before_any_stage(
         self, tmp_path, capsys, section, key, value
@@ -104,6 +105,7 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("run-*"))
+        assert not (tmp_path / "cache").exists()
 
 
 class TestMineWords:
@@ -143,13 +145,8 @@ class TestMineWords:
 
 
 class TestMineSentences:
-    def test_requires_lexicon_without_auto(self, tmp_path, capsys):
-        rc = main(toy_args("mine-sentences", tmp_path))
-        assert rc == 4
-        assert "--auto" in capsys.readouterr().err
-
     def test_auto_runs_word_stage_first(self, tmp_path, capsys):
-        rc = main(toy_args("mine-sentences", tmp_path, "--auto"))
+        rc = main(toy_args("mine-sentences", tmp_path))
         assert rc == 0
         out = capsys.readouterr().out
         assert "pool:" in out
@@ -160,7 +157,7 @@ class TestMineSentences:
         assert len(pool_lines) <= len(mono_lines)
 
     def test_changed_tau_reuses_cached_generations(self, tmp_path):
-        assert main(toy_args("mine-sentences", tmp_path, "--auto")) == 0
+        assert main(toy_args("mine-sentences", tmp_path)) == 0
         config = load_config(
             TOY_INI,
             {"output_dir": str(tmp_path / "out"),

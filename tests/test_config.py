@@ -1,35 +1,55 @@
 from __future__ import annotations
 
+import re
+from dataclasses import fields
+
 import pytest
 
-from icl_miner.config import DEFAULTS, PipelineConfig, load_config
+from icl_miner.config import PipelineConfig, load_config
 from icl_miner.errors import ConfigError
 
 
+MINIMAL = {
+    "languages": {"source": "ava_Latn", "target": "zor_Latn"},
+    "paths": {
+        "source_vocab": "vocab.a", "target_vocab": "vocab.b", "unlabeled": "mono",
+        "test_source": "test.a", "test_target": "test.b",
+    },
+    "backend": {"kind": "mock", "llm_fixture": "llm.jsonl"},
+}
+
+
 def minimal_ini(tmp_path, **extra_sections):
+    """A valid config; each extra `key = value` line sets or replaces a key."""
     for name in ("vocab.a", "vocab.b", "mono", "test.a", "test.b", "llm.jsonl"):
         (tmp_path / name).write_text("word\n", encoding="utf-8")
-    content = """\
-[languages]
-source = ava_Latn
-target = zor_Latn
-
-[paths]
-source_vocab = vocab.a
-target_vocab = vocab.b
-unlabeled = mono
-test_source = test.a
-test_target = test.b
-
-[backend]
-kind = mock
-llm_fixture = llm.jsonl
-"""
+    sections = {name: dict(options) for name, options in MINIMAL.items()}
     for section, lines in extra_sections.items():
-        content += f"\n[{section}]\n" + "\n".join(lines) + "\n"
+        for line in lines:
+            key, value = (part.strip() for part in line.split("=", 1))
+            sections.setdefault(section, {})[key] = value
     path = tmp_path / "config.ini"
-    path.write_text(content, encoding="utf-8")
+    path.write_text("\n".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in options.items())
+        for section, options in sections.items()
+    ), encoding="utf-8")
     return path
+
+
+# every field that declares an INI key, with its metadata
+DECLARED = [f for f in fields(PipelineConfig) if f.name != "raw_semantic"]
+
+
+def bound_cases():
+    """(field, INI value at the limit, INI value just past it) per bound."""
+    for f in DECLARED:
+        meta, step = f.metadata, 1 if f.type == "int" else 0.01
+        if meta["least"] is not None:
+            yield f, meta["least"], meta["least"] - step
+        if meta["most"] is not None:
+            yield f, meta["most"], meta["most"] + step
+        if meta["above"] is not None:
+            yield f, meta["above"] + step, meta["above"]
 
 
 class TestDefaults:
@@ -42,10 +62,58 @@ class TestDefaults:
         assert config.fallback_m == 20
         assert config.iterations == 1
 
-    def test_defaults_table_matches_dataclass(self):
-        config = PipelineConfig()
-        for name, value in DEFAULTS.items():
-            assert getattr(config, name) == value
+
+class TestFieldDeclarations:
+    def test_every_field_declares_a_unique_key(self):
+        keys = [f.metadata["key"] for f in DECLARED]
+        assert len(set(keys)) == len(keys) == len(fields(PipelineConfig)) - 1
+        assert {key.split(".")[0] for key in keys} == {
+            "languages", "paths", "backend", "mining", "prompts", "metrics", "run"
+        }
+
+    def test_spelled_out_defaults_load_as_defaults(self, tmp_path):
+        spelled = [f for f in DECLARED if not f.metadata["path"]]
+        lines: dict = {}
+        for f in spelled:
+            section, key = f.metadata["key"].split(".")
+            value = ",".join(f.default) if isinstance(f.default, tuple) else f.default
+            lines.setdefault(section, []).append(f"{key} = {value}")
+        config, fresh = load_config(minimal_ini(tmp_path, **lines)), PipelineConfig()
+        for f in spelled:
+            assert getattr(config, f.name) == getattr(fresh, f.name), f.name
+
+    @pytest.mark.parametrize(
+        "f, limit, past", list(bound_cases()),
+        ids=lambda value: getattr(value, "name", None),
+    )
+    def test_bound_accepts_limit_and_rejects_past_it(self, tmp_path, f, limit, past):
+        section, key = f.metadata["key"].split(".")
+        # k = 1 lets mining.fallback_m reach its own limit of 1
+        extra = ["k = 1"] if section == "mining" else []
+
+        def loaded(value):
+            lines = [*extra, f"{key} = {value}"]
+            return load_config(minimal_ini(tmp_path, **{section: lines}))
+
+        loaded(limit).validate()
+        for value in (past, "nan") if f.type == "float" else (past,):
+            config = loaded(value)
+            got = re.escape(f"(got {getattr(config, f.name)})")
+            with pytest.raises(
+                ConfigError, match=rf"{re.escape(f.metadata['key'])} .*{got}"
+            ):
+                config.validate()
+
+    @pytest.mark.parametrize(
+        "f", [f for f in DECLARED if f.metadata["choices"]], ids=lambda f: f.name
+    )
+    def test_choice_rejects_unknown_value(self, tmp_path, f):
+        section, key = f.metadata["key"].split(".")
+        config = load_config(minimal_ini(tmp_path, **{section: [f"{key} = bogus"]}))
+        with pytest.raises(
+            ConfigError, match=rf"{re.escape(f.metadata['key'])} .*'bogus'"
+        ):
+            config.validate()
 
 
 class TestLoadConfig:
@@ -84,6 +152,21 @@ class TestLoadConfig:
         path = minimal_ini(tmp_path, mining=["bogus = 1"])
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(path)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        # a misspelled section used to be skipped, leaving k at its default
+        path = minimal_ini(tmp_path, minning=["k = 4"])
+        with pytest.raises(ConfigError, match=r"unknown config key \[minning\] k"):
+            load_config(path)
+
+    def test_http_embedder_needs_a_url(self, tmp_path):
+        config = load_config(minimal_ini(tmp_path, backend=["embedding = http"]))
+        with pytest.raises(ConfigError, match="backend.embedding_base_url"):
+            config.validate()
+        for url in ("embedding_base_url", "base_url"):
+            load_config(minimal_ini(
+                tmp_path, backend=["embedding = http", f"{url} = http://localhost:1"]
+            )).validate()
 
     def test_type_errors_reported(self, tmp_path):
         path = minimal_ini(tmp_path, mining=["k = eight"])
