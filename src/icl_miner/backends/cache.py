@@ -113,68 +113,66 @@ class _SingleFlight:
             done.set()
 
 
-class CachingLLM:
+class _CachingWrapper:
+    """Cache lookup, single flight and storage shared by the caching wrappers.
+
+    A subclass names, in `_payload`, the request fields its keys hash.
+    """
+
+    def __init__(self, backend: LLMBackend | EmbeddingBackend, cache: ResponseCache):
+        self.backend = backend
+        self.cache = cache
+        self.backend_id = backend.backend_id
+        self.model_id = backend.model_id
+        self._flights = _SingleFlight()
+
+    def _key(self, query) -> str:
+        return fingerprint(self.backend_id, self.model_id, self._payload(query))
+
+    def cached(self, query) -> bool:
+        """Whether the cache already holds the answer to `query`."""
+        return self.cache.contains(self._key(query))
+
+    def _get_or_fetch(self, query, fetch, encode, decode):
+        """The cached answer to `query`, else `fetch(query)`, stored encoded."""
+        key = self._key(query)
+        with self._flights.hold(key):
+            hit = self.cache.get(key)
+            if hit is not None:
+                return decode(hit)
+            answer = fetch(query)
+            self.cache.put(key, encode(answer))
+            return answer
+
+
+class CachingLLM(_CachingWrapper):
     """LLM wrapper that serves repeated requests from the cache."""
 
-    def __init__(self, backend: LLMBackend, cache: ResponseCache):
-        self.backend = backend
-        self.cache = cache
-        self.backend_id = backend.backend_id
-        self.model_id = backend.model_id
-        self._flights = _SingleFlight()
-
-    def _key(self, request: GenerationRequest) -> str:
-        return fingerprint(self.backend_id, self.model_id, request.to_payload())
-
-    def cached(self, request: GenerationRequest) -> bool:
-        """Whether the cache already holds the response to `request`."""
-        return self.cache.contains(self._key(request))
+    def _payload(self, request: GenerationRequest) -> dict:
+        return request.to_payload()
 
     def generate(self, request: GenerationRequest) -> list[ScoredCompletion]:
-        key = self._key(request)
-        with self._flights.hold(key):
-            hit = self.cache.get(key)
-            if hit is not None:
-                return [
-                    ScoredCompletion(c["text"], float(c["score"]))
-                    for c in hit["completions"]
-                ]
-            completions = self.backend.generate(request)
-            self.cache.put(
-                key,
-                {
-                    "completions": [
-                        {"text": c.text, "score": c.sequence_score}
-                        for c in completions
-                    ]
-                },
-            )
-            return completions
+        return self._get_or_fetch(
+            request, self.backend.generate,
+            lambda completions: {"completions": [
+                {"text": c.text, "score": c.sequence_score} for c in completions
+            ]},
+            lambda hit: [
+                ScoredCompletion(c["text"], float(c["score"]))
+                for c in hit["completions"]
+            ],
+        )
 
 
-class CachingEmbedder:
+class CachingEmbedder(_CachingWrapper):
     """Embedding wrapper with the same persistent-cache discipline."""
 
-    def __init__(self, backend: EmbeddingBackend, cache: ResponseCache):
-        self.backend = backend
-        self.cache = cache
-        self.backend_id = backend.backend_id
-        self.model_id = backend.model_id
-        self._flights = _SingleFlight()
-
-    def _key(self, text: str) -> str:
-        return fingerprint(self.backend_id, self.model_id, {"embed": text})
-
-    def cached(self, text: str) -> bool:
-        """Whether the cache already holds the embedding of `text`."""
-        return self.cache.contains(self._key(text))
+    def _payload(self, text: str) -> dict:
+        return {"embed": text}
 
     def embed(self, text: str) -> EmbeddingVector:
-        key = self._key(text)
-        with self._flights.hold(key):
-            hit = self.cache.get(key)
-            if hit is not None:
-                return EmbeddingVector(tuple(float(v) for v in hit["vector"]))
-            vector = self.backend.embed(text)
-            self.cache.put(key, {"vector": list(vector.values)})
-            return vector
+        return self._get_or_fetch(
+            text, self.backend.embed,
+            lambda vector: {"vector": list(vector.values)},
+            lambda hit: EmbeddingVector(tuple(float(v) for v in hit["vector"])),
+        )

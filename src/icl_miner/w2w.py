@@ -1,13 +1,14 @@
 """Word-by-word translation: the weakly-annotated synthetic corpus builder.
 
-Each sentence is segmented into word and non-word tokens; word tokens are
-translated one at a time with the mined lexicon as in-context examples,
-while punctuation and pure-digit tokens pass through unchanged. A word
-whose translation is empty, or whose request failed, is copied through:
-dropping words would damage the back-translation shots built from these
-renderings. Failures follow `generate_each`: when more than half of the
-distinct words fail, the build aborts instead. Tokens are rejoined with
-single spaces; no detokenization polish is applied.
+`build_w2w` segments each sentence once and sends one request per distinct
+translatable word (a word token that is not all digits), with the mined
+lexicon as in-context examples. The non-empty first completions form one
+word table, and each sentence is rendered by lookup in it. A token without
+an entry is copied through: punctuation, digits, and a word whose
+translation was empty or failed (dropping words would damage the
+back-translation shots built from these renderings). When more than half
+of the distinct words fail, `generate_each` aborts the build instead.
+Tokens are rejoined with single spaces, without detokenization.
 """
 
 from __future__ import annotations
@@ -29,96 +30,40 @@ from .word_mining import WordPair
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SentenceStats:
-    translated: int
-    copied_through: int
+def _translatable(token: str, is_word: bool) -> bool:
+    """A word token that is not all digits: the tokens sent for translation."""
+    return is_word and not all(
+        unicodedata.category(ch).startswith("N") for ch in token
+    )
 
 
 @dataclass(frozen=True)
 class W2wCorpus:
-    """(original sentence, word-by-word rendering) pairs, input order."""
+    """(original sentence, word-by-word rendering) pairs, input order.
+
+    This is exactly what `w2w.jsonl` holds. `copied_through[i]` counts every
+    token of sentence i that was copied through unchanged: punctuation,
+    digits and the words without a translation. `copy_through_ratio`
+    counts word tokens only: the share of translatable word tokens that
+    got no non-empty translation.
+    """
 
     pairs: tuple[tuple[str, str], ...]
-    stats: tuple[SentenceStats, ...]
+    copied_through: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     @property
     def copy_through_ratio(self) -> float:
-        copied = sum(s.copied_through for s in self.stats)
-        total = copied + sum(s.translated for s in self.stats)
-        return copied / total if total else 0.0
-
-
-def _is_pure_digits(token: str) -> bool:
-    return all(unicodedata.category(ch).startswith("N") for ch in token)
-
-
-class W2wTranslator:
-    """Per-run word translator with memoization over distinct words."""
-
-    def __init__(
-        self,
-        shots: Sequence[WordPair],
-        llm: LLMBackend,
-        source_lang: LanguageSpec,
-        target_lang: LanguageSpec,
-        templates: PromptTemplates = PromptTemplates(),
-        max_word_tokens: int = 8,
-    ):
-        if not shots:
-            raise DataError("word-by-word translation needs in-context shots")
-        self.shots = tuple(pair.as_shot() for pair in shots)
-        self.llm = llm
-        self.source_lang = source_lang
-        self.target_lang = target_lang
-        self.templates = templates
-        self.max_word_tokens = max_word_tokens
-        self._memo: dict[str, tuple[str, bool]] = {}
-
-    def translate(self, word: str) -> tuple[str, bool]:
-        """Translate one word; returns (text, copied_through)."""
-        if word not in self._memo:
-            self.warm_up([word])
-        return self._memo[word]
-
-    def warm_up(self, words: Sequence[str], max_workers: int = 1) -> None:
-        """Fill the memo for distinct words, possibly concurrently.
-
-        A failed or empty translation copies the word through.
-        """
-        distinct = [w for w in dict.fromkeys(words) if w not in self._memo]
-        requests = [
-            word_request(word, self.source_lang, self.target_lang, self.shots,
-                         self.templates, self.max_word_tokens)
-            for word in distinct
-        ]
-        results = generate_each(self.llm, requests, max_workers, "word translations")
-        for word, completions in zip(distinct, results):
-            text = completions[0].text if completions else ""
-            self._memo[word] = (text, False) if text else (word, True)
-
-    def render(self, sentence: str) -> tuple[str, SentenceStats]:
-        """Word-by-word rendering; 1:1 token mapping, space-joined."""
-        tokens = segment(sentence)
-        if not tokens:
-            return sentence, SentenceStats(0, 0)
-        out: list[str] = []
-        translated = copied = 0
-        for token, is_word in tokens:
-            if is_word and not _is_pure_digits(token):
-                text, was_copied = self.translate(token)
-                out.append(text)
-                if was_copied:
-                    copied += 1
-                else:
-                    translated += 1
-            else:
-                out.append(token)
-                copied += 1
-        return " ".join(out), SentenceStats(translated, copied)
+        words = copied_words = 0
+        for (source, _), copied in zip(self.pairs, self.copied_through):
+            tokens = segment(source)
+            n_words = sum(_translatable(token, is_word) for token, is_word in tokens)
+            words += n_words
+            # every token that is not a translatable word is copied through
+            copied_words += copied - (len(tokens) - n_words)
+        return copied_words / words if words else 0.0
 
 
 def build_w2w(
@@ -134,29 +79,39 @@ def build_w2w(
     """Render every sentence word-by-word; output aligns with the input."""
     if not sentences:
         raise DataError("no sentences to translate")
-    translator = W2wTranslator(
-        shots, llm, source_lang, target_lang, templates, max_word_tokens
-    )
-    word_tokens = [
+    if not shots:
+        raise DataError("word-by-word translation needs in-context shots")
+    shot_pairs = tuple(pair.as_shot() for pair in shots)
+    segmented = [segment(sentence) for sentence in sentences]
+    words = list(dict.fromkeys(
         token
-        for sentence in sentences
-        for token, is_word in segment(sentence)
-        if is_word and not _is_pure_digits(token)
+        for tokens in segmented
+        for token, is_word in tokens
+        if _translatable(token, is_word)
+    ))
+    requests = [
+        word_request(word, source_lang, target_lang, shot_pairs, templates,
+                     max_word_tokens)
+        for word in words
     ]
-    translator.warm_up(word_tokens, max_workers=max_workers)
-
-    pairs: list[tuple[str, str]] = []
-    stats: list[SentenceStats] = []
-    for sentence in sentences:
-        rendering, sentence_stats = translator.render(sentence)
-        pairs.append((sentence, rendering))
-        stats.append(sentence_stats)
-    corpus = W2wCorpus(pairs=tuple(pairs), stats=tuple(stats))
-    log.info(
-        "w2w: %d sentences, copy-through ratio %.3f",
-        len(corpus),
-        corpus.copy_through_ratio,
+    results = generate_each(llm, requests, max_workers, "word translations")
+    # keys are word tokens only, so no punctuation or digit token finds one
+    table = {
+        word: completions[0].text
+        for word, completions in zip(words, results)
+        if completions and completions[0].text
+    }
+    corpus = W2wCorpus(
+        pairs=tuple(
+            (sentence, " ".join(table.get(token, token) for token, _ in tokens))
+            for sentence, tokens in zip(sentences, segmented)
+        ),
+        copied_through=tuple(
+            sum(token not in table for token, _ in tokens) for tokens in segmented
+        ),
     )
+    log.info("w2w: %d sentences, copy-through ratio %.3f",
+             len(corpus), corpus.copy_through_ratio)
     return corpus
 
 
@@ -165,27 +120,18 @@ def write_w2w(path: str | Path, corpus: W2wCorpus) -> None:
     write_jsonl(
         path,
         (
-            {
-                "source": source,
-                "w2w": rendering,
-                "copied_through": sentence_stats.copied_through,
-            }
-            for (source, rendering), sentence_stats in zip(corpus.pairs, corpus.stats)
+            {"source": source, "w2w": rendering, "copied_through": copied}
+            for (source, rendering), copied in zip(corpus.pairs, corpus.copied_through)
         ),
     )
 
 
 def read_w2w(path: str | Path) -> W2wCorpus:
-    pairs: list[tuple[str, str]] = []
-    stats: list[SentenceStats] = []
-    for line in read_written_lines(path):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        pairs.append((record["source"], record["w2w"]))
-        # every token is either translated or copied through
-        copied = int(record["copied_through"])
-        stats.append(SentenceStats(len(segment(record["source"])) - copied, copied))
-    if not pairs:
+    """Inverse of `write_w2w`."""
+    records = [json.loads(line) for line in read_written_lines(path) if line.strip()]
+    if not records:
         raise DataError(f"empty w2w corpus: {path}")
-    return W2wCorpus(pairs=tuple(pairs), stats=tuple(stats))
+    return W2wCorpus(
+        pairs=tuple((record["source"], record["w2w"]) for record in records),
+        copied_through=tuple(int(record["copied_through"]) for record in records),
+    )

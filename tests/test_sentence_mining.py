@@ -30,7 +30,7 @@ from icl_miner.sentence_mining import (
     select_topk_bm25_with_audit,
     write_pool,
 )
-from icl_miner.w2w import SentenceStats, W2wCorpus
+from icl_miner.w2w import W2wCorpus
 
 AVA = LanguageSpec(code="ava_Latn", display_name="Avalian")
 ZOR = LanguageSpec(code="zor_Latn", display_name="Zorvan")
@@ -50,10 +50,7 @@ def make_pool(sims, texts=None, origin="mined"):
 
 
 def make_w2w(entries):
-    return W2wCorpus(
-        pairs=tuple(entries),
-        stats=tuple(SentenceStats(1, 0) for _ in entries),
-    )
+    return W2wCorpus(pairs=tuple(entries), copied_through=tuple(0 for _ in entries))
 
 
 class TestBacktranslationShots:

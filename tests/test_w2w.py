@@ -9,7 +9,7 @@ from icl_miner.corpus import LanguageSpec
 from icl_miner.errors import BackendError, DataError
 from icl_miner.prompts import word_translation_prompt
 from icl_miner.tokens import segment
-from icl_miner.w2w import W2wTranslator, build_w2w, read_w2w, write_w2w
+from icl_miner.w2w import build_w2w, read_w2w, write_w2w
 from icl_miner.word_mining import WordPair
 
 AVA = LanguageSpec(code="ava_Latn", display_name="Avalian")
@@ -43,21 +43,13 @@ def lexicon_backend(tmp_path, lexicon: dict[str, str]):
 class TestTranslateWordIcl:
     def test_fixture_trace(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        assert W2wTranslator(SHOTS, llm, AVA, ZOR).translate("gato") == ("cat", False)
+        assert build_w2w(["gato"], SHOTS, llm, AVA, ZOR).pairs == (("gato", "cat"),)
 
     def test_unfixtured_word_copies_through(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        translator = W2wTranslator(SHOTS, llm, AVA, ZOR)
-        translator.warm_up(["gato", "xyzzy"])  # one failure in two is tolerated
-        assert translator.translate("xyzzy") == ("xyzzy", True)
-        assert translator.translate("gato") == ("cat", False)
-
-    def test_memoization_single_backend_call(self, tmp_path):
-        llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        translator = W2wTranslator(SHOTS, llm, AVA, ZOR)
-        translator.translate("gato")
-        translator.translate("gato")
-        assert llm.call_count == 1
+        # one failure in two is tolerated
+        corpus = build_w2w(["gato xyzzy"], SHOTS, llm, AVA, ZOR)
+        assert corpus.pairs == (("gato xyzzy", "cat xyzzy"),)
 
 
 class TestBuildW2w:
@@ -102,22 +94,18 @@ class TestBuildW2w:
     def test_stats_count_copies_and_translations(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
         corpus = build_w2w(["gato xyzzy."], SHOTS, llm, AVA, ZOR)
-        stats = corpus.stats[0]
-        assert stats.translated == 1  # gato
-        assert stats.copied_through == 2  # xyzzy (failed) + period
+        assert corpus.copied_through == (2,)  # xyzzy (failed) + period
+        assert corpus.copy_through_ratio == 1 / 2  # words only: xyzzy of 2
 
     def test_failed_word_memoized_once(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        build_w2w(["zz zz zz gato"], SHOTS, llm, AVA, ZOR)
+        build_w2w(["zz zz zz gato", "gato gato"], SHOTS, llm, AVA, ZOR)
         assert llm.call_count == 2  # one attempt for zz, one for gato
 
     def test_majority_of_failed_words_aborts(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
         with pytest.raises(BackendError, match="2/3 word translations failed"):
             build_w2w(["gato xyzzy perro .", "perro"], SHOTS, llm, AVA, ZOR)
-        # a lone word that fails is a majority too
-        with pytest.raises(BackendError, match="1/1 word translations failed"):
-            W2wTranslator(SHOTS, llm, AVA, ZOR).translate("xyzzy")
 
     def test_empty_sentence_list_rejected(self, tmp_path):
         llm = lexicon_backend(tmp_path, {})
@@ -136,11 +124,7 @@ class TestW2wIO:
         corpus = build_w2w(["gato.", "gato gato"], SHOTS, llm, AVA, ZOR)
         path = tmp_path / "out.jsonl"
         write_w2w(path, corpus)
-        loaded = read_w2w(path)
-        assert loaded.pairs == corpus.pairs
-        assert [s.copied_through for s in loaded.stats] == [
-            s.copied_through for s in corpus.stats
-        ]
+        assert read_w2w(path) == corpus
 
     def test_round_trip_keeps_copy_through_ratio(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
@@ -150,6 +134,14 @@ class TestW2wIO:
         path = tmp_path / "out.jsonl"
         write_w2w(path, corpus)
         loaded = read_w2w(path)
-        assert loaded.stats == corpus.stats
+        assert loaded == corpus
         assert 0.0 < corpus.copy_through_ratio < 1.0
         assert loaded.copy_through_ratio == corpus.copy_through_ratio
+
+    def test_golden_ratio_counts_words_only(self, toy_dir):
+        path = next((toy_dir / "golden").glob("run-*")) / "w2w.jsonl"
+        corpus = read_w2w(path)
+        # the file counts 10 copied tokens of 29, punctuation and digits
+        # included; of the 21 words only xilo and vrand were copied
+        assert sum(corpus.copied_through) == 10
+        assert corpus.copy_through_ratio == 2 / 21
