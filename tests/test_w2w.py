@@ -51,6 +51,12 @@ class TestTranslateWordIcl:
         corpus = build_w2w(["gato xyzzy"], SHOTS, llm, AVA, ZOR)
         assert corpus.pairs == (("gato xyzzy", "cat xyzzy"),)
 
+    def test_memoization_single_backend_call(self, tmp_path):
+        llm = lexicon_backend(tmp_path, {"gato": "cat"})
+        corpus = build_w2w(["gato", "gato gato"], SHOTS, llm, AVA, ZOR)
+        assert corpus.pairs[1] == ("gato gato", "cat cat")
+        assert llm.call_count == 1
+
 
 class TestBuildW2w:
     def test_punctuation_copied_through(self, tmp_path):
@@ -99,13 +105,16 @@ class TestBuildW2w:
 
     def test_failed_word_memoized_once(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        build_w2w(["zz zz zz gato", "gato gato"], SHOTS, llm, AVA, ZOR)
+        build_w2w(["zz zz zz gato"], SHOTS, llm, AVA, ZOR)
         assert llm.call_count == 2  # one attempt for zz, one for gato
 
     def test_majority_of_failed_words_aborts(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
         with pytest.raises(BackendError, match="2/3 word translations failed"):
             build_w2w(["gato xyzzy perro .", "perro"], SHOTS, llm, AVA, ZOR)
+        # a lone word that fails is a majority too
+        with pytest.raises(BackendError, match="1/1 word translations failed"):
+            build_w2w(["xyzzy"], SHOTS, llm, AVA, ZOR)
 
     def test_empty_sentence_list_rejected(self, tmp_path):
         llm = lexicon_backend(tmp_path, {})
