@@ -1,8 +1,7 @@
 """Persistent response cache keyed by request fingerprints.
 
-One JSON file per fingerprint under the cache root. Writes go through a
-temp file plus atomic rename so concurrent workers never observe partial
-entries; corrupt entries are treated as misses with a warning. The caching
+Entries live in append-only segment files under the cache root, one line
+per entry; `ResponseCache` documents the format and its limits. The caching
 wrappers let one request per fingerprint through at a time, so identical
 requests in flight together reach the backend once.
 """
@@ -13,8 +12,8 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -27,6 +26,8 @@ from .base import (
 )
 
 log = logging.getLogger(__name__)
+
+_KEY_LEN = 64  # hex digits of a SHA-256 fingerprint
 
 
 def fingerprint(backend_id: str, model_id: str, payload: dict) -> str:
@@ -41,22 +42,67 @@ def fingerprint(backend_id: str, model_id: str, payload: dict) -> str:
 
 
 class ResponseCache:
+    """Fingerprint -> JSON payload, stored in append-only segment files.
+
+    Each instance (one per process in a run) appends to its own
+    `<root>/seg-<pid>-<time_ns>.jsonl`, created at its first put, so a run
+    that only hits the cache writes nothing. An entry is one line,
+    `<64-hex key> <json>` and a newline, so a scan reads the key without
+    decoding the value. A put writes its line in one `os.write` on a descriptor opened
+    with `O_APPEND` for that put alone, so no descriptor stays open.
+    Writes are not fsynced.
+
+    Opening the cache reads every segment once, in name order, into an
+    in-memory index of where each value lies; if a key appears twice the
+    later line wins (backends are deterministic, so both hold the same
+    answer). A last line without its newline is a write torn by a killed
+    run and is skipped. `contains` is an index lookup; `get` reads the value
+    bytes back, and an unreadable or undecodable value is a miss with a
+    warning.
+
+    A process sees only the entries other processes wrote before it opened
+    the cache, so two runs at once may both send one request. Entries in the
+    old one-file-per-entry layout (`xx/<key>.json`) are not read: they are
+    misses.
+    """
+
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._segment: Path | None = None  # this instance's, made at its first put
+        self._index: dict[str, tuple[Path, int, int]] = {}  # key -> segment, offset, length
+        for segment in sorted(self.root.glob("seg-*.jsonl")):
+            self._scan(segment)
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _scan(self, segment: Path) -> None:
+        try:
+            data = segment.read_bytes()
+        except OSError as exc:
+            log.warning("unreadable cache segment %s skipped: %s", segment, exc)
+            return
+        start = 0
+        while (end := data.find(b"\n", start)) >= 0:
+            if data[start + _KEY_LEN:start + _KEY_LEN + 1] == b" ":
+                key = data[start:start + _KEY_LEN].decode("ascii", "replace")
+                value = start + _KEY_LEN + 1
+                self._index[key] = (segment, value, end - value)
+            start = end + 1
 
     def contains(self, key: str) -> bool:
-        return self._path(key).exists()
+        return key in self._index
 
     def get(self, key: str) -> dict | None:
-        path = self._path(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
+        entry = self._index.get(key)
+        if entry is None:
             return None
+        segment, offset, length = entry
+        try:
+            fd = os.open(segment, os.O_RDONLY)
+            try:
+                raw = os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
         except OSError as exc:
             log.warning("cache read failed for %s: %s", key, exc)
             return None
@@ -67,20 +113,19 @@ class ResponseCache:
             return None
 
     def put(self, key: str, payload: dict) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
+        value = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        line = b"%s %s\n" % (key.encode("ascii"), value)
+        with self._lock:
+            if self._segment is None:
+                self._segment = self.root / f"seg-{os.getpid()}-{time.time_ns()}.jsonl"
+            fd = os.open(self._segment, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+                if os.write(fd, line) != len(line):
+                    raise OSError(f"short write to cache segment {self._segment}")
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+            finally:
+                os.close(fd)
+            self._index[key] = (self._segment, end - len(value) - 1, len(value))
 
 
 class _SingleFlight:

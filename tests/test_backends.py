@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -33,6 +35,27 @@ from icl_miner.backends import (
 from icl_miner.backends import http
 from icl_miner.backends.base import generate_each
 from icl_miner.errors import BackendError, BackendRejected
+
+from conftest import repo_root
+
+
+# Puts n entries, then dies in the middle of writing one more line.
+CHILD_PUTS_THEN_DIES = """
+import glob
+import os
+from icl_miner.backends import ResponseCache
+cache = ResponseCache({root!r})
+for i in range({n}):
+    cache.put(f"{{i:064x}}", {{"i": i}})
+[segment] = glob.glob(os.path.join({root!r}, "seg-*.jsonl"))
+fd = os.open(segment, os.O_WRONLY | os.O_APPEND)
+os.write(fd, b"f" * 64 + b' {{"i": ')
+os._exit(137)
+"""
+
+
+def segments(root):
+    return sorted(root.glob("seg-*.jsonl"))
 
 
 def write_llm_fixture(path, records):
@@ -382,12 +405,102 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path / "cache")
         assert cache.get("cd" * 32) is None
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    def test_corrupt_entry_is_a_miss(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path / "cache")
         key = "ef" * 32
         cache.put(key, {"ok": True})
-        cache._path(key).write_text("{broken", encoding="utf-8")
+        [segment] = segments(tmp_path / "cache")
+        line = f'{key} {{"ok": true}}\n'.encode()
+        assert segment.read_bytes() == line
+        # same length, so the recorded offset and length still frame the value
+        segment.write_bytes(line.replace(b'{"ok": true}', b"{broken!!!!}"))
         assert cache.get(key) is None
+        assert "corrupt cache entry" in caplog.text
+
+    def test_later_line_of_a_key_wins_on_reopen(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = ResponseCache(root)
+        cache.put("ab" * 32, {"n": 1})
+        cache.put("ab" * 32, {"n": 2})
+        assert cache.get("ab" * 32) == {"n": 2}
+        assert ResponseCache(root).get("ab" * 32) == {"n": 2}
+
+    def test_torn_last_line_is_skipped_on_reopen(self, tmp_path):
+        root = tmp_path / "cache"
+        ResponseCache(root).put("01" * 32, {"n": 1})
+        [segment] = segments(root)
+        with open(segment, "ab") as fh:
+            fh.write(b"02" * 32 + b' {"n": ')
+        reopened = ResponseCache(root)
+        assert reopened.get("01" * 32) == {"n": 1}
+        assert not reopened.contains("02" * 32)
+        reopened.put("02" * 32, {"n": 2})
+        assert reopened.get("02" * 32) == {"n": 2}
+        assert ResponseCache(root).get("02" * 32) == {"n": 2}
+
+    def test_concurrent_puts_read_back_from_a_fresh_cache(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = ResponseCache(root)
+        keys = [[f"{t:02x}{i:02x}".ljust(64, "0") for i in range(50)] for t in range(8)]
+
+        def put_all(thread_keys):
+            for key in thread_keys:
+                cache.put(key, {"key": key, "pad": "x" * (int(key[:4], 16) % 97)})
+
+        threads = [threading.Thread(target=put_all, args=(k,)) for k in keys]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        fresh = ResponseCache(root)
+        for key in (key for thread_keys in keys for key in thread_keys):
+            got = fresh.get(key)
+            assert got["key"] == key and got == cache.get(key)
+        assert len(segments(root)) == 1
+
+    def test_serving_hits_creates_no_segment(self, tmp_path):
+        root = tmp_path / "cache"
+        ResponseCache(root).put("ab" * 32, {"x": 1})
+        before = segments(root)
+        reader = ResponseCache(root)
+        assert reader.contains("ab" * 32) and reader.get("ab" * 32) == {"x": 1}
+        assert reader.get("cd" * 32) is None
+        assert segments(root) == before
+
+    def test_reopened_cache_sees_another_instances_puts(self, tmp_path):
+        root = tmp_path / "cache"
+        first, second = ResponseCache(root), ResponseCache(root)
+        first.put("ab" * 32, {"from": "first"})
+        second.put("cd" * 32, {"from": "second"})
+        third = ResponseCache(root)
+        assert third.get("ab" * 32) == {"from": "first"}
+        assert third.get("cd" * 32) == {"from": "second"}
+        # an instance opened before a put does not see it
+        assert not first.contains("cd" * 32)
+
+    def test_old_layout_entry_is_a_miss(self, tmp_path):
+        root = tmp_path / "cache"
+        key = "ab" * 32
+        (root / "ab").mkdir(parents=True)
+        (root / "ab" / f"{key}.json").write_text('{"x": 1}', encoding="utf-8")
+        cache = ResponseCache(root)
+        assert not cache.contains(key)
+        assert cache.get(key) is None
+
+    def test_entries_survive_a_killed_writer(self, tmp_path):
+        root = tmp_path / "cache"
+        child = CHILD_PUTS_THEN_DIES.format(root=str(root), n=20)
+        env = {**os.environ, "PYTHONPATH": str(repo_root() / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", child], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 137, done.stderr
+        cache = ResponseCache(root)
+        for i in range(20):
+            assert cache.get(f"{i:064x}") == {"i": i}
+        assert not cache.contains("f" * 64)
+        assert cache.get("f" * 64) is None
 
     def test_fingerprint_sensitive_to_temperature(self):
         request_a = GenerationRequest(

@@ -76,6 +76,23 @@ def test_resume_rewrites_only_the_stale_stage(tmp_path, toy_dir, concurrency):
     assert hyp.read_bytes() == expected
 
 
+def test_warm_run_sends_no_request_and_writes_no_cache_file(tmp_path, toy_dir):
+    ini = toy_dir / "toy.ini"
+    cold = toy_pipeline(ini, tmp_path)
+    cold.run_all()
+    cache = tmp_path / "cache"
+    files = sorted(cache.rglob("*"))
+    assert [path.name.startswith("seg-") for path in files] == [True]
+
+    warm = toy_pipeline(ini, tmp_path, output_dir=str(tmp_path / "warm"))
+    warm.run_all()
+    assert warm.llm.backend.call_count == 0
+    assert sorted(cache.rglob("*")) == files
+    assert {
+        path.name: path.read_bytes() for path in warm.run_dir.iterdir()
+    } == {path.name: path.read_bytes() for path in cold.run_dir.iterdir()}
+
+
 def test_changed_reference_is_rescored(tmp_path, toy_dir):
     data = tmp_path / "toy"
     shutil.copytree(toy_dir, data, ignore=shutil.ignore_patterns("golden"))
