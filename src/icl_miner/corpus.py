@@ -1,6 +1,7 @@
 """Languages, vocabularies, monolingual corpora, and line-aligned parallel sets.
 
-All types are immutable after load and safe to share across workers.
+The loaders return immutable values, safe to share across workers: a
+`Vocabulary`, a tuple of sentences, or a tuple of (source, target) pairs.
 Text files are UTF-8, one item per line; LF and CRLF are both accepted on
 read, output is always written with LF. Files the program wrote itself are
 read back split at LF only (`read_written_lines`), so an item keeps any
@@ -59,7 +60,6 @@ class Vocabulary:
 
     language: LanguageSpec
     words: tuple[str, ...]
-    source_path: str
     _members: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -70,37 +70,6 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return normalize_token(token) in self._members
-
-
-@dataclass(frozen=True)
-class MonolingualCorpus:
-    """Ordered unlabeled sentences in one language."""
-
-    language: LanguageSpec
-    sentences: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.sentences)
-
-
-@dataclass(frozen=True)
-class ParallelCorpus:
-    """Line-aligned sentence pairs; pair i came from line i of both files."""
-
-    source_lang: LanguageSpec
-    target_lang: LanguageSpec
-    pairs: tuple[tuple[str, str], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def sources(self) -> tuple[str, ...]:
-        return tuple(src for src, _ in self.pairs)
-
-    @property
-    def targets(self) -> tuple[str, ...]:
-        return tuple(tgt for _, tgt in self.pairs)
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -142,10 +111,10 @@ def load_vocabulary(
             break
     if not words:
         raise DataError(f"empty vocabulary: {path}")
-    return Vocabulary(language=language, words=tuple(words), source_path=str(path))
+    return Vocabulary(language=language, words=tuple(words))
 
 
-def load_monolingual(path: str | Path, language: LanguageSpec) -> MonolingualCorpus:
+def load_monolingual(path: str | Path) -> tuple[str, ...]:
     """Load one sentence per line, dropping blank lines with a warning."""
     lines = _read_lines(path)
     sentences: list[str] = []
@@ -157,16 +126,13 @@ def load_monolingual(path: str | Path, language: LanguageSpec) -> MonolingualCor
         sentences.append(sentence)
     if not sentences:
         raise DataError(f"no usable sentences in {path}")
-    return MonolingualCorpus(language=language, sentences=tuple(sentences))
+    return tuple(sentences)
 
 
 def load_parallel(
-    src_path: str | Path,
-    tgt_path: str | Path,
-    source_lang: LanguageSpec,
-    target_lang: LanguageSpec,
-) -> ParallelCorpus:
-    """Load two line-aligned files into sentence pairs.
+    src_path: str | Path, tgt_path: str | Path
+) -> tuple[tuple[str, str], ...]:
+    """Load two line-aligned files into (source, target) sentence pairs.
 
     A length mismatch between the files is fatal; a blank line on either
     side drops that pair with a warning.
@@ -191,9 +157,7 @@ def load_parallel(
         log.warning("dropped %d pair(s) with a blank side", dropped)
     if not pairs:
         raise DataError(f"no usable pairs in {src_path} / {tgt_path}")
-    return ParallelCorpus(
-        source_lang=source_lang, target_lang=target_lang, pairs=tuple(pairs)
-    )
+    return tuple(pairs)
 
 
 def write_lines(path: str | Path, lines: "list[str] | tuple[str, ...]") -> None:

@@ -39,7 +39,6 @@ chunking, so a score is the same, bit for bit, with or without a pool.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import unicodedata
@@ -108,22 +107,18 @@ class EvalReport:
             f"{self.chrf_pp:.2f}/{self.bleu:.2f}"
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "direction": [self.source_code, self.target_code],
-                "system": self.system,
-                "chrf_pp": self.chrf_pp,
-                "bleu": self.bleu,
-                "sentence_count": self.sentence_count,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
+    def to_record(self) -> dict:
+        """The JSON object of `report.<policy>.json`."""
+        return {
+            "direction": [self.source_code, self.target_code],
+            "system": self.system,
+            "chrf_pp": self.chrf_pp,
+            "bleu": self.bleu,
+            "sentence_count": self.sentence_count,
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        record = json.loads(text)
+    def from_record(cls, record: dict) -> "EvalReport":
         source_code, target_code = record["direction"]
         return cls(
             source_code=source_code,

@@ -21,6 +21,7 @@ lock file.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import logging
@@ -53,7 +54,7 @@ from .corpus import (
     write_jsonl,
     write_lines,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .prompts import PromptTemplates, sentence_request
 from .sentence_mining import MinedPool, SentencePair
 
@@ -98,9 +99,12 @@ def _scoring_pool() -> ProcessPoolExecutor | None:
 class RunLock:
     """One process owns a run directory at a time.
 
-    The lock file holds the owner's PID. A lock whose owner no longer exists
-    (a killed run) is removed and taken over; a live owner, or a lock file
-    without a readable PID, still rejects the second owner.
+    The owner holds an exclusive `flock` on the lock file, which names its
+    PID. The kernel releases the lock when the owner's process ends, however
+    it ends, so a lock file that no process holds (a killed run left it) is
+    taken over whatever it contains, and only a live owner rejects a second
+    one. `flock` is unreliable on some network file systems, where two hosts
+    may both take it: keep run directories on a local disk.
     """
 
     def __init__(self, run_dir: Path):
@@ -108,42 +112,39 @@ class RunLock:
 
     def __enter__(self) -> "RunLock":
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        for retried in (False, True):
+        while True:
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT)
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if retried or not self._owner_is_gone():
-                    raise ConfigError(
-                        f"run directory is locked by another process: {self.path}"
-                    ) from None
-                log.warning("removing the lock of an exited run: %s", self.path)
-                self.path.unlink(missing_ok=True)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        return self
+                if self._take(fd):
+                    self._fd = fd
+                    return self
+            except BaseException:
+                os.close(fd)
+                raise
+            os.close(fd)  # the previous owner unlinked this file on exit
 
-    def _owner_is_gone(self) -> bool:
-        """True only if the lock names a PID that no process has."""
+    def _take(self, fd: int) -> bool:
+        """Lock `fd` and write this PID to it; False if another file has
+        replaced it at `path` since it was opened."""
         try:
-            pid = int(self.path.read_text(encoding="ascii"))
-        except (OSError, ValueError):
-            return False
-        if pid <= 0:
-            return False
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            owner = os.read(fd, 32).decode("ascii", "replace") or "unknown"
+            raise ConfigError(
+                f"run directory is locked by process {owner}: {self.path}"
+            ) from None
         try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:
-            pass  # alive, owned by another user
-        return False
+            if not os.path.samestat(os.stat(self.path), os.fstat(fd)):
+                return False
+        except FileNotFoundError:
+            return False
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        return True
 
     def __exit__(self, *exc_info) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)  # while still holding the lock
+        os.close(self._fd)
 
 
 class Pipeline:
@@ -256,26 +257,13 @@ class Pipeline:
         lexicon_path = self.run_dir / "lexicon.tsv"
 
         def build() -> None:
-            vocab_src = load_vocabulary(cfg.source_vocab, self.source_lang, cfg.vocab_size)
-            vocab_tgt = load_vocabulary(cfg.target_vocab, self.target_lang, cfg.vocab_size)
-            forward = word_mining.mine_forward(
-                vocab_src, vocab_tgt, self._mining_config, self.llm,
-                max_workers=cfg.concurrency,
+            pairs = word_mining.mine_lexicon(
+                load_vocabulary(cfg.source_vocab, self.source_lang, cfg.vocab_size),
+                load_vocabulary(cfg.target_vocab, self.target_lang, cfg.vocab_size),
+                self._mining_config, self.llm, self.scorer, cfg.concurrency,
             )
-            backward = word_mining.mine_backward(
-                forward, vocab_src, self._mining_config, self.llm,
-                max_workers=cfg.concurrency,
-            )
-            pairs = word_mining.consistency_filter(forward, backward)
-            if not pairs:
-                raise DataError("word mining produced no consistent pairs")
-            selected = word_mining.rank_and_select(pairs, self.scorer, cfg.k_wp)
-            refined = word_mining.refine_kshot(
-                selected, vocab_src, vocab_tgt, self._mining_config, self.llm,
-                self.scorer, max_workers=cfg.concurrency,
-            )
-            word_mining.write_lexicon(lexicon_path, refined)
-            log.info("mined %d word pairs -> %s", len(refined), lexicon_path)
+            word_mining.write_lexicon(lexicon_path, pairs)
+            log.info("mined %d word pairs -> %s", len(pairs), lexicon_path)
 
         inputs = {"source_vocab": cfg.source_vocab, "target_vocab": cfg.target_vocab}
         self._stage("mine_words", inputs, [lexicon_path], build)
@@ -290,10 +278,10 @@ class Pipeline:
 
         def build() -> None:
             shots = word_mining.read_lexicon(lexicon_path)
-            sentences = load_monolingual(source_path, self.source_lang).sentences
             corpus = w2w.build_w2w(
-                sentences, shots, self.llm, self.source_lang, self.target_lang,
-                self.templates, cfg.max_word_tokens, max_workers=cfg.concurrency,
+                load_monolingual(source_path), shots, self.llm, self.source_lang,
+                self.target_lang, self.templates, cfg.max_word_tokens,
+                max_workers=cfg.concurrency,
             )
             w2w.write_w2w(w2w_path, corpus)
 
@@ -308,7 +296,7 @@ class Pipeline:
         w2w_path = self.build_w2w()
 
         def build() -> None:
-            d_u = load_monolingual(cfg.unlabeled, self.target_lang)
+            d_u = load_monolingual(cfg.unlabeled)
             corpus = w2w.read_w2w(w2w_path)
             pool = sentence_mining.mine_examples(
                 d_u,
@@ -334,20 +322,11 @@ class Pipeline:
 
     # ---------------------------------------------------------- translation
 
-    def _test_corpus(self):
-        return load_parallel(
-            self.config.test_source,
-            self.config.test_target,
-            self.source_lang,
-            self.target_lang,
-        )
+    def _test_pairs(self) -> tuple[tuple[str, str], ...]:
+        return load_parallel(self.config.test_source, self.config.test_target)
 
     def _gold_pool(self) -> MinedPool:
         cfg = self.config
-        gold = load_parallel(
-            cfg.gold_dev_source, cfg.gold_dev_target,
-            self.source_lang, self.target_lang,
-        )
         # human-annotated pairs count as perfectly aligned for the filter
         pairs = tuple(
             SentencePair(
@@ -356,7 +335,7 @@ class Pipeline:
                 similarity=1.0,
                 origin=sentence_mining.ORIGIN_GOLD,
             )
-            for src, tgt in gold.pairs
+            for src, tgt in load_parallel(cfg.gold_dev_source, cfg.gold_dev_target)
         )
         return MinedPool(pairs=pairs)
 
@@ -438,7 +417,7 @@ class Pipeline:
         outputs = [hyp_path, audit_path] if writes_audit else [hyp_path]
 
         def build() -> None:
-            sources = self._test_corpus().sources
+            sources = [src for src, _ in self._test_pairs()]
             if spec.needs_lexicon:
                 # by text: w2w.jsonl keeps the sources of blank-side pairs
                 rendered = dict(w2w.read_w2w(inputs["w2w"]).pairs)
@@ -496,7 +475,7 @@ class Pipeline:
         inputs = {"test_source": cfg.test_source, "test_target": cfg.test_target}
         self._stage(
             "reference", inputs, [ref_path],
-            lambda: write_lines(ref_path, self._test_corpus().targets),
+            lambda: write_lines(ref_path, [tgt for _, tgt in self._test_pairs()]),
         )
         return ref_path
 
@@ -521,11 +500,13 @@ class Pipeline:
 
         def build() -> None:
             report = self.evaluate(hyp_path, ref_path, system=policy, pool=pool)
-            _write_json(report_path, json.loads(report.to_json()))
+            _write_json(report_path, report.to_record())
 
         def score() -> metrics.EvalReport:
             self._stage(f"evaluate.{policy}", inputs, [report_path], build)
-            return metrics.EvalReport.from_json(report_path.read_text(encoding="utf-8"))
+            return metrics.EvalReport.from_record(
+                json.loads(report_path.read_text(encoding="utf-8"))
+            )
 
         return scorer.submit(score)
 

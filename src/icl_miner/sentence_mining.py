@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import bm25
 from .backends.base import DecodingMode, LLMBackend, SimilarityScorer, generate_each
-from .corpus import LanguageSpec, MonolingualCorpus, read_written_lines, write_jsonl
+from .corpus import LanguageSpec, read_written_lines, write_jsonl
 from .errors import DataError
 from .prompts import PromptTemplates, sentence_request
 from .w2w import W2wCorpus
@@ -32,7 +32,6 @@ from .w2w import W2wCorpus
 log = logging.getLogger(__name__)
 
 ORIGIN_MINED = "mined"
-ORIGIN_W2W_SHOT = "w2w_shot"
 ORIGIN_GOLD = "gold"
 
 
@@ -49,14 +48,6 @@ class SentencePair:
 
     def as_shot(self) -> tuple[str, str]:
         return (self.source_text, self.target_text)
-
-    def flipped(self) -> "SentencePair":
-        return SentencePair(
-            source_text=self.target_text,
-            target_text=self.source_text,
-            similarity=self.similarity,
-            origin=self.origin,
-        )
 
 
 @dataclass(frozen=True)
@@ -89,10 +80,10 @@ class SelectionAudit:
 def select_backtranslation_shots(
     w2w: W2wCorpus,
     k: int,
+    scorer: SimilarityScorer,
     strategy: str = "first_k",
-    scorer: SimilarityScorer | None = None,
-) -> list[SentencePair]:
-    """Package w2w entries as shots for translating target -> source.
+) -> list[tuple[str, str]]:
+    """(rendering, original) shots for translating target -> source.
 
     The shot's source side is the word-by-word rendering (target language)
     and its target side is the original sentence, i.e. the reverse of the
@@ -103,8 +94,6 @@ def select_backtranslation_shots(
         raise DataError("w2w corpus is empty")
     entries = list(w2w.pairs)
     if strategy == "top_sim":
-        if scorer is None:
-            raise DataError("top_sim shot strategy needs a similarity scorer")
         similarities = scorer.sims(
             (rendering, original) for original, rendering in entries
         )
@@ -114,19 +103,12 @@ def select_backtranslation_shots(
         raise DataError(f"unknown shot strategy {strategy!r}")
     if len(entries) < k:
         log.warning("only %d w2w entries available (k=%d)", len(entries), k)
-    return [
-        SentencePair(
-            source_text=rendering,
-            target_text=original,
-            origin=ORIGIN_W2W_SHOT,
-        )
-        for original, rendering in entries[:k]
-    ]
+    return [(rendering, original) for original, rendering in entries[:k]]
 
 
 def back_translate(
-    d_u: MonolingualCorpus,
-    shots: Sequence[SentencePair],
+    d_u: Sequence[str],
+    shots: Sequence[tuple[str, str]],
     llm: LLMBackend,
     scorer: SimilarityScorer,
     source_lang: LanguageSpec,
@@ -139,26 +121,27 @@ def back_translate(
 ) -> MinedPool:
     """Translate each unlabeled target sentence into the source language.
 
-    Shots must be oriented target -> source. Each resulting pair keeps the
-    generated text as source and the natural sentence as target, scored
-    with the cross-lingual similarity function. A sentence whose
-    back-translation is empty or failed (see `generate_each`) is dropped.
+    Shots are (source, target) tuples oriented target -> source: each
+    shows a target-language sentence, then its source-language rendering.
+    Each resulting pair keeps the generated text as source and the natural
+    sentence as target, scored with the cross-lingual similarity function.
+    A sentence whose back-translation is empty or failed (see
+    `generate_each`) is dropped.
     """
     if not len(d_u):
         raise DataError("unlabeled corpus is empty")
-    shot_pairs = [p.as_shot() for p in shots]
     # one prompt per distinct sentence: a corpus may repeat sentences
     request_of = {
         sentence: sentence_request(
-            sentence, target_lang, source_lang, shot_pairs, templates,
+            sentence, target_lang, source_lang, shots, templates,
             decoding, max_sentence_tokens,
         )
-        for sentence in dict.fromkeys(d_u.sentences)
+        for sentence in dict.fromkeys(d_u)
     }
-    requests = [request_of[sentence] for sentence in d_u.sentences]
+    requests = [request_of[sentence] for sentence in d_u]
     results = generate_each(llm, requests, max_workers, "back-translations")
     kept: list[tuple[str, str]] = []
-    for sentence, completions in zip(d_u.sentences, results):
+    for sentence, completions in zip(d_u, results):
         if completions and completions[0].text:
             kept.append((completions[0].text, sentence))
         else:
@@ -252,7 +235,7 @@ def select_topk_bm25_with_audit(
 
 
 def mine_examples(
-    d_u: MonolingualCorpus,
+    d_u: Sequence[str],
     w2w: W2wCorpus,
     k: int,
     llm: LLMBackend,
@@ -269,14 +252,14 @@ def mine_examples(
     """Run back-translation for one or more rounds and return the final pool.
 
     Rounds after the first reuse the previous pool's global top-k pairs
-    (flipped to target -> source orientation) as shots.
+    (reversed to target -> source orientation) as shots.
     """
     if iterations < 1:
         raise DataError("iterations must be >= 1")
-    shots = select_backtranslation_shots(w2w, k, shot_strategy, scorer)
+    shots = select_backtranslation_shots(w2w, k, scorer, shot_strategy)
     for iteration in range(1, iterations + 1):
         if iteration > 1:
-            shots = [p.flipped() for p in select_topk(pool, k)]
+            shots = [(p.target_text, p.source_text) for p in select_topk(pool, k)]
         pool = back_translate(
             d_u,
             shots,

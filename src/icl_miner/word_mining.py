@@ -1,11 +1,11 @@
-"""Phase 1: mine, filter, rank, and refine word-translation pairs.
+"""Phase 1: mine, filter and rank word-translation pairs.
 
-Forward mining samples n candidate translations per source-vocabulary word
+One round samples n candidate translations per source-vocabulary word
 (random sampling, stop at whitespace) and keeps the ones that land in the
-target vocabulary. Backward mining greedily translates the distinct target
-candidates back; the consistency filter keeps only round-trip pairs, which
-are then ranked by embedding similarity. A second pass can repeat the whole
-cycle with the selected pairs as in-context examples.
+target vocabulary, greedily translates the distinct target candidates back,
+keeps only the round-trip pairs and ranks them by embedding similarity.
+`mine_lexicon` runs that round twice: zero-shot, then with the first
+round's selected pairs as in-context examples.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .backends.base import (
     SimilarityScorer,
     generate_each,
 )
-from .corpus import LanguageSpec, Vocabulary, normalize_token
+from .corpus import Vocabulary, normalize_token
 from .errors import DataError
 from .prompts import PromptTemplates, word_request
 
@@ -31,6 +31,9 @@ log = logging.getLogger(__name__)
 
 ZERO_SHOT = "zero_shot"
 K_SHOT = "k_shot"
+
+# word -> scored candidate translations, best first, in mining order
+Candidates = dict[str, tuple[tuple[str, float], ...]]
 
 
 @dataclass(frozen=True)
@@ -47,28 +50,6 @@ class WordPair:
 
     def as_shot(self) -> tuple[str, str]:
         return (self.source_word, self.target_word)
-
-
-@dataclass(frozen=True)
-class CandidatePool:
-    """Multimap word -> scored candidate translations, in mining order."""
-
-    direction: tuple[LanguageSpec, LanguageSpec]
-    entries: dict[str, tuple[tuple[str, float], ...]]
-
-    def distinct_candidates(self) -> list[str]:
-        """Candidate words across all entries, first-seen order."""
-        seen: set[str] = set()
-        out: list[str] = []
-        for candidates in self.entries.values():
-            for word, _ in candidates:
-                if word not in seen:
-                    seen.add(word)
-                    out.append(word)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -109,7 +90,7 @@ def _translate_words(
     limit: int,
     llm: LLMBackend,
     max_workers: int,
-) -> dict[str, tuple[tuple[str, float], ...]]:
+) -> Candidates:
     """The candidates of each word that has any; a failed word has none."""
     results = generate_each(llm, requests, max_workers, "word translations")
     return {
@@ -126,7 +107,7 @@ def mine_forward(
     llm: LLMBackend,
     shots: Sequence[tuple[str, str]] = (),
     max_workers: int = 1,
-) -> CandidatePool:
+) -> Candidates:
     """Mine source-to-target candidates for every source-vocabulary word."""
     if not len(vocab_src):
         raise DataError("source vocabulary is empty")
@@ -137,55 +118,52 @@ def mine_forward(
                      config.max_word_tokens, mode, num_samples=config.n)
         for word in vocab_src.words
     ]
-    entries = _translate_words(
+    return _translate_words(
         vocab_src.words, requests, vocab_tgt, config.n, llm, max_workers
     )
-    return CandidatePool(direction=(src, trg), entries=entries)
 
 
 def mine_backward(
-    forward: CandidatePool,
+    forward: Candidates,
     vocab_src: Vocabulary,
+    vocab_tgt: Vocabulary,
     config: MiningConfig,
     llm: LLMBackend,
     shots: Sequence[tuple[str, str]] = (),
     max_workers: int = 1,
-) -> CandidatePool:
+) -> Candidates:
     """Greedily back-translate the distinct forward candidates.
 
     Shots, when given, must already be oriented target-to-source.
     """
-    if not len(forward):
-        raise DataError("forward pool is empty")
-    src, trg = forward.direction
-    targets = forward.distinct_candidates()
+    targets = list(dict.fromkeys(
+        word for candidates in forward.values() for word, _ in candidates
+    ))
     requests = [
-        word_request(word, trg, src, shots, config.templates, config.max_word_tokens)
+        word_request(word, vocab_tgt.language, vocab_src.language, shots,
+                     config.templates, config.max_word_tokens)
         for word in targets
     ]
-    entries = _translate_words(targets, requests, vocab_src, 1, llm, max_workers)
-    return CandidatePool(direction=(trg, src), entries=entries)
+    return _translate_words(targets, requests, vocab_src, 1, llm, max_workers)
 
 
 def consistency_filter(
-    forward: CandidatePool,
-    backward: CandidatePool,
+    forward: Candidates,
+    backward: Candidates,
     provenance: str = ZERO_SHOT,
 ) -> list[WordPair]:
     """Keep (w_s, w_t) when w_t was mined from w_s and w_s is w_t's back-translation.
 
     Output is deduplicated and ordered by source-vocabulary rank, then by
-    descending forward sequence score (the pool's stored order).
+    descending forward sequence score (the order of `forward`).
     """
-    if forward.direction[0].code != backward.direction[1].code:
-        raise DataError("pools do not share a language pair")
     pairs: list[WordPair] = []
     seen: set[tuple[str, str]] = set()
-    for source_word, candidates in forward.entries.items():
+    for source_word, candidates in forward.items():
         for target_word, _score in candidates:
             if (source_word, target_word) in seen:
                 continue
-            back = backward.entries.get(target_word, ())
+            back = backward.get(target_word, ())
             if any(back_word == source_word for back_word, _ in back):
                 seen.add((source_word, target_word))
                 pairs.append(
@@ -215,8 +193,30 @@ def rank_and_select(
     return annotated[:k_wp]
 
 
-def refine_kshot(
-    seed_pairs: Sequence[WordPair],
+def _mining_round(
+    vocab_src: Vocabulary,
+    vocab_tgt: Vocabulary,
+    config: MiningConfig,
+    llm: LLMBackend,
+    scorer: SimilarityScorer,
+    max_workers: int,
+    seeds: Sequence[WordPair] = (),
+) -> list[WordPair]:
+    """One mining cycle, with `seeds` as in-context examples; [] if no pair
+    survives the consistency filter."""
+    shots = [pair.as_shot() for pair in seeds]
+    forward = mine_forward(vocab_src, vocab_tgt, config, llm, shots, max_workers)
+    backward = mine_backward(
+        forward, vocab_src, vocab_tgt, config, llm,
+        [(t, s) for s, t in shots], max_workers,
+    )
+    pairs = consistency_filter(
+        forward, backward, provenance=K_SHOT if seeds else ZERO_SHOT
+    )
+    return rank_and_select(pairs, scorer, config.k_wp) if pairs else []
+
+
+def mine_lexicon(
     vocab_src: Vocabulary,
     vocab_tgt: Vocabulary,
     config: MiningConfig,
@@ -224,22 +224,20 @@ def refine_kshot(
     scorer: SimilarityScorer,
     max_workers: int = 1,
 ) -> list[WordPair]:
-    """Repeat the mining cycle with the seed pairs as in-context examples."""
-    if not seed_pairs:
-        raise DataError("refinement needs at least one seed pair")
-    forward_shots = [pair.as_shot() for pair in seed_pairs]
-    backward_shots = [(t, s) for s, t in forward_shots]
-    forward = mine_forward(
-        vocab_src, vocab_tgt, config, llm, shots=forward_shots, max_workers=max_workers
+    """The selected pairs of a zero-shot round, refined by a k-shot round.
+
+    A zero-shot round with no pairs is an error; a k-shot round with no
+    pairs keeps the zero-shot ones.
+    """
+    seeds = _mining_round(vocab_src, vocab_tgt, config, llm, scorer, max_workers)
+    if not seeds:
+        raise DataError("word mining produced no consistent pairs")
+    refined = _mining_round(
+        vocab_src, vocab_tgt, config, llm, scorer, max_workers, seeds
     )
-    backward = mine_backward(
-        forward, vocab_src, config, llm, shots=backward_shots, max_workers=max_workers
-    )
-    pairs = consistency_filter(forward, backward, provenance=K_SHOT)
-    if not pairs:
+    if not refined:
         log.warning("k-shot refinement produced no pairs; keeping seed pairs")
-        return list(seed_pairs)
-    return rank_and_select(pairs, scorer, config.k_wp)
+    return refined or seeds
 
 
 def write_lexicon(path: str | Path, pairs: Sequence[WordPair]) -> None:

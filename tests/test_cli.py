@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import configparser
+import fcntl
 import json
 import os
 import subprocess
@@ -26,6 +27,17 @@ def toy_args(command, tmp_path, *extra):
         "--cache-dir", str(tmp_path / "cache"),
         *extra,
     ]
+
+
+def toy_parser() -> configparser.ConfigParser:
+    """The toy config with its file paths made absolute."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(TOY_INI, encoding="utf-8")
+    for name, options in parser.items():
+        for option, path in options.items():
+            if (TOY / path).is_file():
+                parser.set(name, option, str(TOY / path))
+    return parser
 
 
 def run_dir(tmp_path) -> Path:
@@ -71,6 +83,21 @@ class TestExitCodes:
         )
         assert rc == 4
 
+    def test_no_mined_word_pairs_is_4(self, tmp_path, capsys):
+        parser = toy_parser()
+        # no forward candidate of the toy fixture is in this target vocabulary
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("qqqq\n", encoding="utf-8")
+        parser.set("paths", "target_vocab", str(vocab))
+        config = tmp_path / "no-pairs.ini"
+        with config.open("w", encoding="utf-8") as fh:
+            parser.write(fh)
+        rc = main(["mine-words", "--config", str(config),
+                   "--output-dir", str(tmp_path / "out"),
+                   "--cache-dir", str(tmp_path / "cache")])
+        assert rc == 4
+        assert "no consistent pairs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key, value", [
         ("metrics", "chrf_char_ngram", "0"),
         ("metrics", "bleu_smoothing", "bogus"),
@@ -83,12 +110,7 @@ class TestExitCodes:
     def test_invalid_field_is_2_before_any_stage(
         self, tmp_path, capsys, section, key, value
     ):
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.read(TOY_INI, encoding="utf-8")
-        for name, options in parser.items():
-            for option, path in options.items():
-                if (TOY / path).is_file():
-                    parser.set(name, option, str(TOY / path))
+        parser = toy_parser()
         parser.set("mining", "sentence_decoding", "beam")
         if not parser.has_section(section):
             parser.add_section(section)
@@ -292,9 +314,10 @@ class TestRunLock:
         )
         pipeline = Pipeline(config)
         with RunLock(pipeline.run_dir):
-            with pytest.raises(ConfigError, match="locked"):
+            with pytest.raises(ConfigError, match=f"locked by process {os.getpid()}"):
                 with RunLock(pipeline.run_dir):
                     pass
+        assert not (pipeline.run_dir / ".lock").exists()
 
     def test_lock_of_exited_process_reclaimed(self, tmp_path):
         config = load_config(
@@ -302,16 +325,26 @@ class TestRunLock:
             {"output_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "c")},
         )
         pipeline = Pipeline(config)
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        assert child.wait(timeout=30) == 0
         lock = pipeline.run_dir / ".lock"
-        lock.parent.mkdir(parents=True)
-        lock.write_text(str(child.pid))  # as a killed run leaves it
+        # the child takes the lock and is killed while it holds it
+        script = (
+            "import os, sys\n"
+            "from pathlib import Path\n"
+            "from icl_miner.pipeline import RunLock\n"
+            "RunLock(Path(sys.argv[1])).__enter__()\n"
+            "os._exit(137)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(TOY.parent.parent / "src")}
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, str(pipeline.run_dir)], env=env
+        )
+        assert child.wait(timeout=60) == 137
+        assert lock.read_text() == str(child.pid)  # as a killed run leaves it
         with RunLock(pipeline.run_dir):
             assert lock.read_text() == str(os.getpid())
         assert not lock.exists()
 
-    def test_unreadable_lock_still_rejected(self, tmp_path):
+    def test_unheld_lock_file_taken_over(self, tmp_path):
         config = load_config(
             TOY_INI,
             {"output_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "c")},
@@ -319,12 +352,36 @@ class TestRunLock:
         pipeline = Pipeline(config)
         lock = pipeline.run_dir / ".lock"
         lock.parent.mkdir(parents=True)
-        for content in ("", "not a pid", "0"):
+        for content in ("", "not a pid", "0", "1", str(os.getpid()), "9" * 40):
             lock.write_text(content)
+            with RunLock(pipeline.run_dir):
+                assert lock.read_text() == str(os.getpid())
+            assert not lock.exists()
+
+    def test_lock_file_unlinked_by_previous_owner_opened_again(
+        self, tmp_path, monkeypatch
+    ):
+        config = load_config(
+            TOY_INI,
+            {"output_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "c")},
+        )
+        pipeline = Pipeline(config)
+        first = RunLock(pipeline.run_dir).__enter__()
+        flock, locked = fcntl.flock, []
+
+        def owner_exits_first(fd, operation):
+            if not locked:  # between the next owner's open and its flock
+                first.__exit__(None, None, None)
+            locked.append(fd)
+            return flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", owner_exits_first)
+        with RunLock(pipeline.run_dir):
+            assert len(locked) == 2  # the unlinked file, then the new one
+            monkeypatch.setattr(fcntl, "flock", flock)
             with pytest.raises(ConfigError, match="locked"):
                 with RunLock(pipeline.run_dir):
                     pass
-            assert lock.read_text() == content
 
     def test_lock_released_after_exit(self, tmp_path):
         config = load_config(

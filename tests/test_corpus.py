@@ -79,55 +79,55 @@ class TestLoadVocabulary:
 
 
 class TestLoadMonolingual:
-    def test_blank_lines_dropped(self, write_file, trg_lang):
+    def test_blank_lines_dropped(self, write_file):
         path = write_file("m.txt", ["a", "", "b"])
-        corpus = load_monolingual(path, trg_lang)
-        assert list(corpus.sentences) == ["a", "b"]
+        corpus = load_monolingual(path)
+        assert list(corpus) == ["a", "b"]
 
-    def test_order_preserved(self, write_file, trg_lang):
+    def test_order_preserved(self, write_file):
         lines = [f"sentence {i}" for i in range(97)]
-        corpus = load_monolingual(write_file("m.txt", lines), trg_lang)
-        assert list(corpus.sentences) == lines
+        corpus = load_monolingual(write_file("m.txt", lines))
+        assert list(corpus) == lines
 
-    def test_all_blank_is_an_error(self, write_file, trg_lang):
+    def test_all_blank_is_an_error(self, write_file):
         path = write_file("m.txt", ["", "  ", ""])
         with pytest.raises(DataError):
-            load_monolingual(path, trg_lang)
+            load_monolingual(path)
 
-    def test_crlf_accepted(self, tmp_path, trg_lang):
+    def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_bytes(b"one\r\ntwo\r\n")
-        corpus = load_monolingual(path, trg_lang)
-        assert list(corpus.sentences) == ["one", "two"]
+        corpus = load_monolingual(path)
+        assert list(corpus) == ["one", "two"]
 
 
 class TestLoadParallel:
-    def test_pairs_align_by_line(self, write_file, src_lang, trg_lang):
+    def test_pairs_align_by_line(self, write_file):
         src = write_file("s.txt", [f"src {i}" for i in range(5)])
         tgt = write_file("t.txt", [f"tgt {i}" for i in range(5)])
-        corpus = load_parallel(src, tgt, src_lang, trg_lang)
-        assert corpus.pairs[3] == ("src 3", "tgt 3")
+        corpus = load_parallel(src, tgt)
+        assert corpus[3] == ("src 3", "tgt 3")
 
-    def test_length_mismatch_fatal(self, write_file, src_lang, trg_lang):
+    def test_length_mismatch_fatal(self, write_file):
         src = write_file("s.txt", ["a", "b", "c"])
         tgt = write_file("t.txt", ["x", "y", "z", "w"])
         with pytest.raises(DataError, match="alignment mismatch"):
-            load_parallel(src, tgt, src_lang, trg_lang)
+            load_parallel(src, tgt)
 
-    def test_blank_side_drops_pair(self, write_file, src_lang, trg_lang):
+    def test_blank_side_drops_pair(self, write_file):
         src = write_file("s.txt", ["a", "b", "c"])
         tgt = write_file("t.txt", ["x", "", "z"])
-        corpus = load_parallel(src, tgt, src_lang, trg_lang)
-        assert corpus.pairs == (("a", "x"), ("c", "z"))
+        corpus = load_parallel(src, tgt)
+        assert corpus == (("a", "x"), ("c", "z"))
 
 
 class TestRoundTrip:
-    def test_monolingual_round_trip(self, tmp_path, trg_lang, write_file):
+    def test_monolingual_round_trip(self, tmp_path, write_file):
         path = write_file("m.txt", ["one", "two", "three"])
-        corpus = load_monolingual(path, trg_lang)
+        corpus = load_monolingual(path)
         out = tmp_path / "out.txt"
-        write_lines(out, corpus.sentences)
-        assert load_monolingual(out, trg_lang) == corpus
+        write_lines(out, corpus)
+        assert load_monolingual(out) == corpus
 
     @given(
         st.lists(
@@ -145,14 +145,13 @@ class TestRoundTrip:
     def test_written_lines_reload_identically(self, sentences):
         import tempfile
 
-        lang = LanguageSpec(code="zor_Latn", display_name="Zorvan")
         with tempfile.TemporaryDirectory() as d:
             path = f"{d}/round.txt"
             write_lines(path, sentences)
-            corpus = load_monolingual(path, lang)
-            assert list(corpus.sentences) == sentences
-            write_lines(path, corpus.sentences)
-            assert load_monolingual(path, lang) == corpus
+            corpus = load_monolingual(path)
+            assert list(corpus) == sentences
+            write_lines(path, corpus)
+            assert load_monolingual(path) == corpus
 
 
 def test_written_lines_split_at_lf_only(tmp_path):

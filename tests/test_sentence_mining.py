@@ -13,7 +13,7 @@ from icl_miner import bm25
 from icl_miner.backends import MockLLMBackend, SimilarityScorer, TrigramHashEmbedder
 from icl_miner.bm25 import tokenize
 from icl_miner.config import PipelineConfig
-from icl_miner.corpus import LanguageSpec, MonolingualCorpus
+from icl_miner.corpus import LanguageSpec
 from icl_miner.errors import ConfigError, DataError
 from icl_miner.prompts import sentence_translation_prompt
 from icl_miner.sentence_mining import (
@@ -54,37 +54,36 @@ def make_w2w(entries):
 
 
 class TestBacktranslationShots:
+    scorer = SimilarityScorer(TrigramHashEmbedder())
+
     def test_first_k_orientation(self):
         w2w = make_w2w([(f"orig {i}", f"rend {i}") for i in range(10)])
-        shots = select_backtranslation_shots(w2w, k=3)
-        assert len(shots) == 3
+        shots = select_backtranslation_shots(w2w, 3, self.scorer)
         # source side is the target-language rendering, target the original
-        assert shots[0].source_text == "rend 0"
-        assert shots[0].target_text == "orig 0"
-        assert all(s.origin == "w2w_shot" for s in shots)
+        assert shots == [("rend 0", "orig 0"), ("rend 1", "orig 1"), ("rend 2", "orig 2")]
 
     def test_fewer_entries_than_k(self):
         w2w = make_w2w([("a", "b"), ("c", "d")])
-        assert len(select_backtranslation_shots(w2w, k=5)) == 2
+        assert len(select_backtranslation_shots(w2w, 5, self.scorer)) == 2
 
     def test_top_sim_strategy(self):
         w2w = make_w2w([("apple pie", "zzz"), ("same text", "same text")])
-        scorer = SimilarityScorer(TrigramHashEmbedder())
-        shots = select_backtranslation_shots(w2w, 1, strategy="top_sim", scorer=scorer)
-        assert shots[0].target_text == "same text"
+        shots = select_backtranslation_shots(w2w, 1, self.scorer, strategy="top_sim")
+        assert shots == [("same text", "same text")]
 
     def test_unknown_strategy(self):
         with pytest.raises(DataError):
-            select_backtranslation_shots(make_w2w([("a", "b")]), 1, strategy="best")
+            select_backtranslation_shots(
+                make_w2w([("a", "b")]), 1, self.scorer, strategy="best"
+            )
 
 
 def backtranslation_backend(tmp_path, d_u, shots, rule):
     path = tmp_path / "bt.jsonl"
-    shot_pairs = [s.as_shot() for s in shots]
     with path.open("w", encoding="utf-8") as fh:
         for sentence in d_u:
             prompt = sentence_translation_prompt(
-                sentence, ZOR.display_name, AVA.display_name, shot_pairs
+                sentence, ZOR.display_name, AVA.display_name, shots
             )
             fh.write(
                 json.dumps(
@@ -101,9 +100,7 @@ def backtranslation_backend(tmp_path, d_u, shots, rule):
 
 class TestBackTranslate:
     def setup_method(self):
-        self.shots = [
-            SentencePair(source_text="rend a", target_text="orig a", origin="w2w_shot")
-        ]
+        self.shots = [("rend a", "orig a")]
         self.scorer = SimilarityScorer(TrigramHashEmbedder())
 
     def test_pool_size_matches_corpus(self, tmp_path):
@@ -111,7 +108,7 @@ class TestBackTranslate:
         llm = backtranslation_backend(
             tmp_path, sentences, self.shots, lambda s: s.replace("zorvan", "avalian")
         )
-        d_u = MonolingualCorpus(language=ZOR, sentences=tuple(sentences))
+        d_u = tuple(sentences)
         pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
         assert len(pool) == 9
         assert pool.iteration == 1
@@ -120,7 +117,7 @@ class TestBackTranslate:
         llm = backtranslation_backend(
             tmp_path, ["zor text"], self.shots, lambda s: "ava text"
         )
-        d_u = MonolingualCorpus(language=ZOR, sentences=("zor text",))
+        d_u = ("zor text",)
         pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
         pair = pool.pairs[0]
         assert pair.source_text == "ava text"
@@ -129,7 +126,7 @@ class TestBackTranslate:
 
     def test_copy_generation_still_forms_pair(self, tmp_path):
         llm = backtranslation_backend(tmp_path, ["same"], self.shots, lambda s: s)
-        d_u = MonolingualCorpus(language=ZOR, sentences=("same",))
+        d_u = ("same",)
         pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
         assert pool.pairs[0].similarity == pytest.approx(1.0)
 
@@ -137,7 +134,7 @@ class TestBackTranslate:
         llm = backtranslation_backend(
             tmp_path, ["a", "b"], self.shots, lambda s: "" if s == "a" else "ok"
         )
-        d_u = MonolingualCorpus(language=ZOR, sentences=("a", "b"))
+        d_u = ("a", "b")
         pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
         assert len(pool) == 1
 
@@ -147,7 +144,7 @@ class TestBackTranslate:
         llm = backtranslation_backend(
             tmp_path, sentences, self.shots, lambda s: s.replace("zor", "ava")
         )
-        d_u = MonolingualCorpus(language=ZOR, sentences=tuple(sentences))
+        d_u = tuple(sentences)
         pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
         texts = [p.source_text for p in pool.pairs]
         assert texts == ["ava a", "ava b", "ava a", "ava a"]
@@ -374,19 +371,18 @@ class TestMineExamples:
     def _setup(self, tmp_path, iterations):
         sentences = [f"zor {i} text" for i in range(6)]
         w2w = make_w2w([(f"ava {i} text", f"zrend {i} text") for i in range(4)])
-        shots1 = select_backtranslation_shots(w2w, 2)
+        scorer = SimilarityScorer(TrigramHashEmbedder())
+        shots1 = select_backtranslation_shots(w2w, 2, scorer)
         rule = lambda s: s.replace("zor", "ava")
         records = {}
         # iteration 1 prompts use w2w shots
         for sentence in sentences:
             prompt = sentence_translation_prompt(
-                sentence, ZOR.display_name, AVA.display_name,
-                [s.as_shot() for s in shots1],
+                sentence, ZOR.display_name, AVA.display_name, shots1
             )
             records[prompt] = rule(sentence)
-        # iteration 2 prompts use the flipped top-k of iteration 1's pool;
+        # iteration 2 prompts use the reversed top-k of iteration 1's pool;
         # compute them by simulating iteration 1 locally
-        scorer = SimilarityScorer(TrigramHashEmbedder())
         pairs = [
             SentencePair(
                 source_text=rule(s), target_text=s,
@@ -395,11 +391,10 @@ class TestMineExamples:
             for s in sentences
         ]
         pool1 = MinedPool(pairs=tuple(pairs))
-        shots2 = [p.flipped() for p in select_topk(pool1, 2)]
+        shots2 = [(p.target_text, p.source_text) for p in select_topk(pool1, 2)]
         for sentence in sentences:
             prompt = sentence_translation_prompt(
-                sentence, ZOR.display_name, AVA.display_name,
-                [s.as_shot() for s in shots2],
+                sentence, ZOR.display_name, AVA.display_name, shots2
             )
             records[prompt] = rule(sentence)
 
@@ -414,13 +409,13 @@ class TestMineExamples:
                     + "\n"
                 )
         llm = MockLLMBackend(path)
-        d_u = MonolingualCorpus(language=ZOR, sentences=tuple(sentences))
+        d_u = tuple(sentences)
         return d_u, w2w, llm, SimilarityScorer(TrigramHashEmbedder())
 
     def test_single_iteration_equals_back_translate(self, tmp_path):
         d_u, w2w, llm, scorer = self._setup(tmp_path, 1)
         pool = mine_examples(d_u, w2w, 2, llm, scorer, AVA, ZOR, iterations=1)
-        shots = select_backtranslation_shots(w2w, 2)
+        shots = select_backtranslation_shots(w2w, 2, scorer)
         direct = back_translate(d_u, shots, llm, scorer, AVA, ZOR)
         assert pool.pairs == direct.pairs
         assert pool.iteration == 1

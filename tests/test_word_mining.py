@@ -11,15 +11,15 @@ from icl_miner.errors import BackendError, DataError
 from icl_miner.prompts import word_translation_prompt
 from icl_miner.word_mining import (
     K_SHOT,
-    CandidatePool,
+    ZERO_SHOT,
     MiningConfig,
     WordPair,
     consistency_filter,
     mine_backward,
     mine_forward,
+    mine_lexicon,
     rank_and_select,
     read_lexicon,
-    refine_kshot,
     write_lexicon,
 )
 
@@ -28,25 +28,22 @@ ZOR = LanguageSpec(code="zor_Latn", display_name="Zorvan")
 
 
 def vocab(lang, words):
-    return Vocabulary(language=lang, words=tuple(words), source_path="mem")
+    return Vocabulary(language=lang, words=tuple(words))
 
 
 def fixture_backend(tmp_path, mapping, shots_fwd=(), shots_bwd=()):
     """Build a mock fixture covering forward and backward word prompts.
 
     mapping: source word -> list of (completion, score) for the forward
-    direction plus target word -> list for the backward direction.
+    direction plus target word -> list for the backward direction, each
+    under the shots given; a direction of "fwd0" or "bwd0" is zero-shot.
     """
     records = []
     for (word, direction), completions in mapping.items():
-        if direction == "fwd":
-            prompt = word_translation_prompt(
-                word, AVA.display_name, ZOR.display_name, shots_fwd
-            )
-        else:
-            prompt = word_translation_prompt(
-                word, ZOR.display_name, AVA.display_name, shots_bwd
-            )
+        forward = direction.startswith("fwd")
+        shots = () if direction.endswith("0") else (shots_fwd if forward else shots_bwd)
+        src, trg = (AVA, ZOR) if forward else (ZOR, AVA)
+        prompt = word_translation_prompt(word, src.display_name, trg.display_name, shots)
         records.append(
             {
                 "prompt": prompt,
@@ -72,7 +69,7 @@ class TestMineForward:
         pool = mine_forward(
             vocab(AVA, ["gato"]), vocab(ZOR, ["cat", "car"]), MiningConfig(n=3), llm
         )
-        assert pool.entries == {"gato": (("cat", -1.0), ("car", -2.0))}
+        assert pool == {"gato": (("cat", -1.0), ("car", -2.0))}
 
     def test_word_with_no_surviving_candidates_absent(self, tmp_path):
         llm = fixture_backend(
@@ -85,8 +82,8 @@ class TestMineForward:
         pool = mine_forward(
             vocab(AVA, ["gato", "perro"]), vocab(ZOR, ["cat"]), MiningConfig(n=1), llm
         )
-        assert "perro" not in pool.entries
-        assert "gato" in pool.entries
+        assert "perro" not in pool
+        assert "gato" in pool
 
     def test_pool_bounded_by_n_per_word(self, tmp_path):
         completions = [(f"t{i}", -float(i)) for i in range(10)]
@@ -97,7 +94,7 @@ class TestMineForward:
             MiningConfig(n=4),
             llm,
         )
-        assert len(pool.entries["w"]) <= 4
+        assert len(pool["w"]) <= 4
 
     def test_duplicate_completions_collapse_to_best(self, tmp_path):
         llm = fixture_backend(
@@ -107,7 +104,7 @@ class TestMineForward:
         pool = mine_forward(
             vocab(AVA, ["w"]), vocab(ZOR, ["cat"]), MiningConfig(n=3), llm
         )
-        assert pool.entries["w"] == (("cat", -1.0),)
+        assert pool["w"] == (("cat", -1.0),)
 
     def test_majority_failures_abort(self, tmp_path):
         llm = fixture_backend(tmp_path, {("a", "fwd"): [("cat", -1.0)]})
@@ -126,7 +123,7 @@ class TestMineForward:
             vocab(AVA, ["a", "b", "c"]), vocab(ZOR, ["cat", "car"]),
             MiningConfig(n=1), llm,
         )
-        assert set(pool.entries) == {"a", "b"}
+        assert set(pool) == {"a", "b"}
 
 
 class TestMineBackward:
@@ -138,55 +135,44 @@ class TestMineBackward:
                 ("car", "bwd"): [("coche", -1.0)],
             },
         )
-        forward = CandidatePool(
-            direction=(AVA, ZOR),
-            entries={"gato": (("cat", -1.0),), "auto": (("car", -1.5),)},
-        )
+        forward = {"gato": (("cat", -1.0),), "auto": (("car", -1.5),)}
         backward = mine_backward(
-            forward, vocab(AVA, ["gato", "coche", "auto"]), MiningConfig(), llm
+            forward, vocab(AVA, ["gato", "coche", "auto"]), vocab(ZOR, ["cat", "car"]),
+            MiningConfig(), llm,
         )
-        assert backward.entries == {
+        assert backward == {
             "cat": (("gato", -1.0),),
             "car": (("coche", -1.0),),
         }
-        assert backward.direction == (ZOR, AVA)
 
     def test_back_translation_outside_vocab_dropped(self, tmp_path):
         llm = fixture_backend(tmp_path, {("cat", "bwd"): [("unknown", -1.0)]})
-        forward = CandidatePool(
-            direction=(AVA, ZOR), entries={"gato": (("cat", -1.0),)}
+        forward = {"gato": (("cat", -1.0),)}
+        backward = mine_backward(
+            forward, vocab(AVA, ["gato"]), vocab(ZOR, ["cat"]), MiningConfig(), llm
         )
-        backward = mine_backward(forward, vocab(AVA, ["gato"]), MiningConfig(), llm)
-        assert backward.entries == {}
+        assert backward == {}
 
     def test_duplicate_targets_translated_once(self, tmp_path):
         llm = fixture_backend(tmp_path, {("cat", "bwd"): [("gato", -1.0)]})
-        forward = CandidatePool(
-            direction=(AVA, ZOR),
-            entries={"gato": (("cat", -1.0),), "minino": (("cat", -2.0),)},
+        forward = {"gato": (("cat", -1.0),), "minino": (("cat", -2.0),)}
+        mine_backward(
+            forward, vocab(AVA, ["gato", "minino"]), vocab(ZOR, ["cat"]),
+            MiningConfig(), llm,
         )
-        mine_backward(forward, vocab(AVA, ["gato", "minino"]), MiningConfig(), llm)
         assert llm.call_count == 1
 
 
 class TestConsistencyFilter:
-    def fwd(self, entries):
-        return CandidatePool(direction=(AVA, ZOR), entries=entries)
-
-    def bwd(self, entries):
-        return CandidatePool(direction=(ZOR, AVA), entries=entries)
-
     def test_round_trip_kept(self):
         pairs = consistency_filter(
-            self.fwd({"gato": (("cat", -1.0),)}),
-            self.bwd({"cat": (("gato", -1.0),)}),
+            {"gato": (("cat", -1.0),)}, {"cat": (("gato", -1.0),)}
         )
         assert [(p.source_word, p.target_word) for p in pairs] == [("gato", "cat")]
 
     def test_broken_round_trip_dropped(self):
         pairs = consistency_filter(
-            self.fwd({"gato": (("car", -1.0),)}),
-            self.bwd({"car": (("coche", -1.0),)}),
+            {"gato": (("car", -1.0),)}, {"car": (("coche", -1.0),)}
         )
         assert pairs == []
 
@@ -207,7 +193,7 @@ class TestConsistencyFilter:
                 t: ((rng.choice(src_words), -1.0),)
                 for t in rng.sample(trg_words, rng.randint(1, 30))
             }
-            got = consistency_filter(self.fwd(fwd_entries), self.bwd(bwd_entries))
+            got = consistency_filter(fwd_entries, bwd_entries)
             expected = {
                 (s, t)
                 for s, candidates in fwd_entries.items()
@@ -217,21 +203,14 @@ class TestConsistencyFilter:
             assert {(p.source_word, p.target_word) for p in got} == expected
 
     def test_monotone_in_backward_pool(self):
-        fwd = self.fwd({"a": (("x", -1.0),), "b": (("y", -1.0),)})
+        fwd = {"a": (("x", -1.0),), "b": (("y", -1.0),)}
         full_bwd = {"x": (("a", -1.0),), "y": (("b", -1.0),)}
         smaller_bwd = {"x": (("a", -1.0),)}
-        full = consistency_filter(fwd, self.bwd(full_bwd))
-        small = consistency_filter(fwd, self.bwd(smaller_bwd))
+        full = consistency_filter(fwd, full_bwd)
+        small = consistency_filter(fwd, smaller_bwd)
         assert {(p.source_word, p.target_word) for p in small} <= {
             (p.source_word, p.target_word) for p in full
         }
-
-    def test_mismatched_language_pair_rejected(self):
-        with pytest.raises(DataError):
-            consistency_filter(
-                self.fwd({"a": (("x", -1.0),)}),
-                CandidatePool(direction=(ZOR, ZOR), entries={}),
-            )
 
 
 class FixedScorer:
@@ -288,24 +267,28 @@ class TestRankAndSelect:
             rank_and_select([], FixedScorer({}), 5)
 
 
+# gato <-> cat, zero-shot and with gato/cat as the shot
+ROUND_TRIP = {
+    ("gato", "fwd0"): [("cat", -1.0)],
+    ("cat", "bwd0"): [("gato", -1.0)],
+    ("gato", "fwd"): [("cat", -1.0)],
+    ("cat", "bwd"): [("gato", -1.0)],
+}
+
+
 class TestRefineKshot:
     def test_fixed_point_when_backend_unchanged(self, tmp_path):
-        seed = [WordPair("gato", "cat", similarity=0.9)]
-        shots_fwd = [("gato", "cat")]
-        shots_bwd = [("cat", "gato")]
         llm = fixture_backend(
-            tmp_path,
-            {("gato", "fwd"): [("cat", -1.0)], ("cat", "bwd"): [("gato", -1.0)]},
-            shots_fwd=shots_fwd,
-            shots_bwd=shots_bwd,
+            tmp_path, ROUND_TRIP, shots_fwd=[("gato", "cat")], shots_bwd=[("cat", "gato")]
         )
         scorer = SimilarityScorer(TrigramHashEmbedder())
-        refined = refine_kshot(
-            seed, vocab(AVA, ["gato"]), vocab(ZOR, ["cat"]),
+        refined = mine_lexicon(
+            vocab(AVA, ["gato"]), vocab(ZOR, ["cat"]),
             MiningConfig(n=1, k_wp=1), llm, scorer,
         )
         assert [(p.source_word, p.target_word) for p in refined] == [("gato", "cat")]
         assert all(p.provenance == K_SHOT for p in refined)
+        assert llm.call_count == 4  # each word once per round and direction
 
     def test_seed_pair_rendered_in_prompt(self):
         prompt = word_translation_prompt(
@@ -316,17 +299,52 @@ class TestRefineKshot:
         assert prompt.endswith("Avalian: perro\nZorvan:")
 
     def test_refined_size_bounded_by_k_wp(self, tmp_path):
-        seed = [WordPair("gato", "cat", similarity=0.9)]
-        mapping = {("gato", "fwd"): [("cat", -1.0)], ("cat", "bwd"): [("gato", -1.0)]}
+        llm = fixture_backend(
+            tmp_path, ROUND_TRIP, shots_fwd=[("gato", "cat")], shots_bwd=[("cat", "gato")]
+        )
+        scorer = SimilarityScorer(TrigramHashEmbedder())
+        refined = mine_lexicon(
+            vocab(AVA, ["gato"]), vocab(ZOR, ["cat"]),
+            MiningConfig(n=1, k_wp=10), llm, scorer,
+        )
+        assert len(refined) <= 10
+
+
+class TestMineLexicon:
+    def test_empty_kshot_forward_pool_keeps_zero_shot_pairs(self, tmp_path, caplog):
+        # the k-shot round finds no target-vocabulary word for gato
+        mapping = {**ROUND_TRIP, ("gato", "fwd"): [("nope", -1.0)]}
+        del mapping[("cat", "bwd")]
         llm = fixture_backend(
             tmp_path, mapping, shots_fwd=[("gato", "cat")], shots_bwd=[("cat", "gato")]
         )
         scorer = SimilarityScorer(TrigramHashEmbedder())
-        refined = refine_kshot(
-            seed, vocab(AVA, ["gato"]), vocab(ZOR, ["cat"]),
-            MiningConfig(n=1, k_wp=10), llm, scorer,
+        pairs = mine_lexicon(
+            vocab(AVA, ["gato"]), vocab(ZOR, ["cat"]),
+            MiningConfig(n=1, k_wp=1), llm, scorer,
         )
-        assert len(refined) <= 10
+        assert [(p.source_word, p.target_word, p.provenance) for p in pairs] == [
+            ("gato", "cat", ZERO_SHOT)
+        ]
+        assert pairs[0].similarity == scorer.sim("gato", "cat")
+        assert "keeping seed pairs" in caplog.text
+        assert llm.call_count == 3  # the empty pool sends no back-translation
+
+    def test_no_zero_shot_pairs_is_an_error(self, tmp_path):
+        llm = fixture_backend(
+            tmp_path,
+            {
+                ("gato", "fwd0"): [("cat", -1.0)],
+                ("perro", "fwd0"): [("nope", -1.0)],
+                ("cat", "bwd0"): [("perro", -1.0)],
+            },
+        )
+        with pytest.raises(DataError, match="no consistent pairs"):
+            mine_lexicon(
+                vocab(AVA, ["gato", "perro"]), vocab(ZOR, ["cat"]),
+                MiningConfig(n=1), llm, SimilarityScorer(TrigramHashEmbedder()),
+            )
+        assert llm.call_count == 3  # the zero-shot round's only: no k-shot round
 
 
 class TestLexiconIO:
