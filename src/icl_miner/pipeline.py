@@ -103,9 +103,14 @@ class RunLock:
     PID. The kernel releases the lock when the owner's process ends, however
     it ends, so a lock file that no process holds (a killed run left it) is
     taken over whatever it contains, and only a live owner rejects a second
-    one. `flock` is unreliable on some network file systems, where two hosts
-    may both take it: keep run directories on a local disk.
+    one. A forked child (a scoring worker) would share the lock and keep it
+    past a killed owner, so each child closes the held descriptors as it
+    forks, and leaving the lock from a child does nothing. `flock` is
+    unreliable on some network file systems, where two hosts may both take
+    it: keep run directories on a local disk.
     """
+
+    _held: set[RunLock] = set()  # the locks this process owns
 
     def __init__(self, run_dir: Path):
         self.path = run_dir / ".lock"
@@ -117,6 +122,7 @@ class RunLock:
             try:
                 if self._take(fd):
                     self._fd = fd
+                    RunLock._held.add(self)
                     return self
             except BaseException:
                 os.close(fd)
@@ -143,8 +149,20 @@ class RunLock:
         return True
 
     def __exit__(self, *exc_info) -> None:
+        if self not in RunLock._held:
+            return  # a forked child: the owner unlocks
+        RunLock._held.discard(self)
         self.path.unlink(missing_ok=True)  # while still holding the lock
         os.close(self._fd)
+
+    @classmethod
+    def _close_in_child(cls) -> None:
+        for lock in cls._held:
+            os.close(lock._fd)
+        cls._held.clear()
+
+
+os.register_at_fork(after_in_child=RunLock._close_in_child)
 
 
 class Pipeline:
