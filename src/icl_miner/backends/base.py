@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
@@ -152,14 +154,17 @@ class EmbeddingVector:
     def dim(self) -> int:
         return len(self.values)
 
+    @functools.cached_property
+    def norm(self) -> float:
+        return math.sqrt(math.fsum(a * a for a in self.values))
+
 
 def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
     """Cosine similarity, clamped to [-1, 1] against rounding."""
     if u.dim != v.dim:
         raise BackendError(f"dim mismatch: {u.dim} vs {v.dim}")
-    dot = math.fsum(a * b for a, b in zip(u.values, v.values))
-    norm_u = math.sqrt(math.fsum(a * a for a in u.values))
-    norm_v = math.sqrt(math.fsum(b * b for b in v.values))
+    dot = math.fsum(map(operator.mul, u.values, v.values))
+    norm_u, norm_v = u.norm, v.norm
     if norm_u == 0.0 or norm_v == 0.0:
         raise BackendError("cosine undefined for a zero vector")
     return max(-1.0, min(1.0, dot / (norm_u * norm_v)))

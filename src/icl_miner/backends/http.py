@@ -5,6 +5,10 @@ are retried with exponential backoff (3 attempts); a 4xx raises
 BackendRejected at once. Sequence scores are the sum of token
 log-probabilities when the API returns them; otherwise the provider's
 ordering is mapped to scores -1, -2, ...
+
+`requests` is used only by `kind = http` and `embedding = http`. It is
+imported when such a backend is built, so a run on mock or local backends
+never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-
-import requests
 
 from ..errors import BackendError, BackendRejected
 from .base import (
@@ -33,6 +35,8 @@ RETRY_BASE_DELAY = 0.5
 def _post_with_retries(
     url: str, payload: dict, headers: dict, timeout: float
 ) -> dict:
+    import requests  # loaded by the backend's constructor
+
     last_error: Exception | None = None
     for attempt in range(RETRY_ATTEMPTS):
         try:
@@ -80,6 +84,8 @@ class HttpLLMBackend:
     ):
         if not base_url:
             raise BackendError("HTTP backend needs a base URL")
+        import requests  # noqa: F401  # set-up pays for the import, not the first request
+
         self.base_url = base_url.rstrip("/")
         self.model_id = model
         self.timeout = timeout
@@ -141,6 +147,8 @@ class HttpEmbeddingBackend:
     ):
         if not base_url:
             raise BackendError("HTTP embedding backend needs a base URL")
+        import requests  # noqa: F401  # set-up pays for the import, not the first request
+
         self.base_url = base_url.rstrip("/")
         self.model_id = model
         self.timeout = timeout

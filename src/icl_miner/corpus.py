@@ -150,11 +150,13 @@ def load_parallel(
         src, tgt = src_raw.strip(), tgt_raw.strip()
         if not src or not tgt:
             dropped += 1
-            log.warning("line %d: dropping pair with blank side", lineno)
+            log.warning("%s / %s:%d: dropping pair with blank side",
+                        src_path, tgt_path, lineno)
             continue
         pairs.append((src, tgt))
     if dropped:
-        log.warning("dropped %d pair(s) with a blank side", dropped)
+        log.warning("dropped %d pair(s) with a blank side from %s / %s",
+                    dropped, src_path, tgt_path)
     if not pairs:
         raise DataError(f"no usable pairs in {src_path} / {tgt_path}")
     return tuple(pairs)

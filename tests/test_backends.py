@@ -12,6 +12,8 @@ import unicodedata
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from icl_miner.backends import (
     CachingEmbedder,
@@ -202,7 +204,41 @@ class TestTrigramHashEmbedder:
         assert vector.dim == 256
 
 
+def three_pass_cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
+    """The former cosine: dot product and both norms in separate fsum passes."""
+    if u.dim != v.dim:
+        raise BackendError(f"dim mismatch: {u.dim} vs {v.dim}")
+    dot = math.fsum(a * b for a, b in zip(u.values, v.values))
+    norm_u = math.sqrt(math.fsum(a * a for a in u.values))
+    norm_v = math.sqrt(math.fsum(b * b for b in v.values))
+    if norm_u == 0.0 or norm_v == 0.0:
+        raise BackendError("cosine undefined for a zero vector")
+    return max(-1.0, min(1.0, dot / (norm_u * norm_v)))
+
+
+coordinates = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+vector_pairs = st.integers(min_value=1, max_value=24).flatmap(
+    lambda dim: st.tuples(
+        st.lists(coordinates, min_size=dim, max_size=dim),
+        st.lists(coordinates, min_size=dim, max_size=dim),
+    )
+)
+
+
 class TestCosine:
+    @given(vector_pairs)
+    def test_equals_three_pass_formula_bit_for_bit(self, pair):
+        u, v = (EmbeddingVector(tuple(values)) for values in pair)
+        try:
+            expected = three_pass_cosine(u, v)
+        except BackendError as exc:
+            with pytest.raises(BackendError, match=str(exc)):
+                cosine(u, v)
+            return
+        assert cosine(u, v) == expected
+        assert cosine(u, v) == expected  # again, with both norms memoized
+        assert cosine(v, u) == three_pass_cosine(v, u)
+
     def test_self_similarity_is_1(self):
         v = EmbeddingVector((0.3, -0.4, 0.5))
         assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
@@ -216,11 +252,11 @@ class TestCosine:
         assert got == pytest.approx(0.974631846, abs=1e-9)
 
     def test_dim_mismatch(self):
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match="dim mismatch: 1 vs 2"):
             cosine(EmbeddingVector((1.0,)), EmbeddingVector((1.0, 2.0)))
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match="cosine undefined for a zero vector"):
             cosine(EmbeddingVector((0.0, 0.0)), EmbeddingVector((1.0, 0.0)))
 
     def test_clamped_range(self):

@@ -449,3 +449,27 @@ class TestRunLock:
             pass
         with RunLock(pipeline.run_dir):
             pass  # no error: first lock was released
+
+
+LAZY_HTTP = """
+import sys
+from icl_miner.cli import main
+assert main(sys.argv[1:]) == 0
+print("requests" in sys.modules)
+from icl_miner.backends import HttpEmbeddingBackend, HttpLLMBackend
+HttpLLMBackend("http://127.0.0.1:1/v1", "m")
+HttpEmbeddingBackend("http://127.0.0.1:1/v1", "m")
+print("requests" in sys.modules)
+"""
+
+
+def test_mock_run_never_imports_the_http_client(tmp_path):
+    # a fresh interpreter: this one has imported requests for other tests
+    env = {**os.environ, "PYTHONPATH": str(TOY.parent.parent / "src")}
+    # -B: write no bytecode next to the package's sources
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", LAZY_HTTP, *toy_args("run-all", tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    # the run prints its report first
+    assert done.stdout.splitlines()[-2:] == ["False", "True"]

@@ -120,6 +120,17 @@ class TestLoadParallel:
         corpus = load_parallel(src, tgt)
         assert corpus == (("a", "x"), ("c", "z"))
 
+    def test_blank_side_warning_names_both_files(self, write_file, caplog):
+        # the same loader reads the test set and the gold dev set
+        src = write_file("s.txt", ["a", "b", "c"])
+        tgt = write_file("t.txt", ["x", "", "z"])
+        with caplog.at_level("WARNING", logger="icl_miner.corpus"):
+            load_parallel(src, tgt)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{src} / {tgt}:2: dropping pair with blank side",
+            f"dropped 1 pair(s) with a blank side from {src} / {tgt}",
+        ]
+
 
 class TestRoundTrip:
     def test_monolingual_round_trip(self, tmp_path, write_file):
