@@ -26,15 +26,21 @@ SentencePiece-style subword BLEU; scores are only comparable within one
 tokenizer. BLEU counts each line's n-grams, orders 1..N, in one Counter per
 side.
 
-Both scores are computed in two steps. `_chrf_stats` and `_bleu_stats` turn
-a slice of line pairs into integer statistics (per-order totals and
+Both scores are computed in two steps. `_chrf_rows` and `_bleu_rows` turn
+each line pair into a row of integer statistics (per-order totals and
 matches, and for BLEU the two lengths); the score is then a float function
-of those integers over the whole corpus. Given a process pool (`pool=`),
-`chrf_pp` and `bleu` split the lines into contiguous chunks, one per CPU,
-hand every chunk to the pool's workers while the calling thread waits, and
-add the integers up; the process's other threads, such as the pipeline's
-next translation, run meanwhile. Integer sums do not depend on the
-chunking, so a score is the same, bit for bit, with or without a pool.
+of the column sums over every line of the corpus. A `Scoring` object, one
+per pipeline run, does the counting. It keeps the row of every distinct
+(hypothesis, reference) pair it has counted, per metric config, and counts
+only the pairs it has not seen: a run scores the same references under
+every policy, and policies often agree on a line. Given a process pool,
+it splits the new pairs into contiguous chunks, one per CPU, hands every
+chunk to the pool's workers while the calling thread waits, and keeps the
+rows they send back; the process's other threads, such as the pipeline's
+next translation, run meanwhile. Without one it counts them inline. A
+call without a `Scoring` gets a fresh one with no pool. Integer sums do
+not depend on the order or the chunking, so a score is the same, bit for
+bit, with or without a pool or a memo.
 """
 
 from __future__ import annotations
@@ -170,53 +176,70 @@ def _count_ngrams(
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on: the number of chunks a pool scores."""
+    """CPUs this process may run on: the number of chunks a pool counts."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-def _summed_stats(
-    pool: Executor | None,
-    stats: Callable[..., list[int]],
-    hypotheses: "list[str] | tuple[str, ...]",
-    references: "list[str] | tuple[str, ...]",
-    *args,
-) -> list[int]:
-    """`stats(hypotheses, references, *args)`, over chunks when given a pool.
+Pair = tuple[str, str]  # a (hypothesis, reference) line pair, as read
 
-    With a pool, the line pairs are split into contiguous chunks, one per
-    CPU, the pool's workers score every chunk, and the integer statistics
-    are added up in chunk order. The calling thread only waits: scoring a
-    chunk here would hold the interpreter lock that the executor's threads
-    need to hand the workers theirs, and that the process's other threads
-    need to go on with their own work. Integer sums do not depend on the
-    chunking, so neither do the scores.
+
+class Scoring:
+    """The line-pair counting of one run: a process pool, or None, and the
+    memo of every row counted so far.
+
+    The memo maps a metric config (`ChrfConfig` or `BleuConfig`) to the
+    row of each raw line pair counted under it, so a pair is counted once
+    per run however many corpora hold it. It lives as long as this object,
+    which belongs to one run: the rows of a `subword:` BLEU tokenizer hold
+    only while its vocabulary file is unchanged. One thread at a time may
+    use it.
     """
-    if pool is None:
-        return stats(hypotheses, references, *args)
-    size, chunks = len(hypotheses), usable_cpus()
-    bounds = [size * i // chunks for i in range(chunks + 1)]
-    futures = [
-        pool.submit(stats, hypotheses[start:end], references[start:end], *args)
-        for start, end in zip(bounds, bounds[1:])
-        if start < end
-    ]
-    totals = futures[0].result()
-    for future in futures[1:]:
-        totals = [a + b for a, b in zip(totals, future.result())]
-    return totals
+
+    def __init__(self, pool: Executor | None = None):
+        self.pool = pool
+        self._rows: dict[ChrfConfig | BleuConfig, dict[Pair, tuple[int, ...]]] = {}
+
+    def stats(
+        self,
+        config: ChrfConfig | BleuConfig,
+        hypotheses: "list[str] | tuple[str, ...]",
+        references: "list[str] | tuple[str, ...]",
+    ) -> list[int]:
+        """The column sums of the rows of every line pair, in corpus order.
+
+        Pairs not yet in the memo are counted once each: with a pool, in
+        contiguous chunks, one per CPU, that its workers count while the
+        calling thread only waits (counting a chunk here would hold the
+        interpreter lock that the executor's threads need to hand the
+        workers theirs, and that the process's other threads need to go on
+        with their own work); without one, inline.
+        """
+        count = _chrf_rows if isinstance(config, ChrfConfig) else _bleu_rows
+        memo = self._rows.setdefault(config, {})
+        pairs = list(zip(hypotheses, references))
+        new = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
+        if new and self.pool is None:
+            memo.update(zip(new, count(new, config)))
+        elif new:
+            size, chunks = len(new), usable_cpus()
+            bounds = [size * i // chunks for i in range(chunks + 1)]
+            futures = [
+                (new[start:end], self.pool.submit(count, new[start:end], config))
+                for start, end in zip(bounds, bounds[1:])
+                if start < end
+            ]
+            for chunk, future in futures:
+                memo.update(zip(chunk, future.result()))
+        return [sum(column) for column in zip(*map(memo.__getitem__, pairs))]
 
 
-def _chrf_stats(
-    hypotheses: "list[str] | tuple[str, ...]",
-    references: "list[str] | tuple[str, ...]",
-    config: ChrfConfig,
-) -> list[int]:
-    """Integer chrF++ statistics of line pairs: per order, char 1..char_max
-    then word 1..word_max, the hypothesis total, the reference total and
-    the matches, one flat list.
+def _chrf_rows(pairs: list[Pair], config: ChrfConfig) -> list[tuple[int, ...]]:
+    """Integer chrF++ statistics of each line pair: per order, char
+    1..char_max then word 1..word_max, the hypothesis total, the reference
+    total and the matches, one flat row.
 
     A char n-gram that the hypothesis holds ``count`` times matches
     ``min(count, r)`` times, ``r`` being its occurrences in the reference,
@@ -228,20 +251,19 @@ def _chrf_stats(
     the module docstring).
     """
     char_max, word_max = config.char_ngram_max, config.word_ngram_max
-    stats = [[0, 0, 0] for _ in range(char_max + word_max)]
-    for hyp_raw, ref_raw in zip(hypotheses, references):
+    rows = []
+    for hyp_raw, ref_raw in pairs:
         hyp_text, ref_text = normalize_text(hyp_raw), normalize_text(ref_raw)
         hyp_chars, ref_chars = "".join(hyp_text.split()), "".join(ref_text.split())
         hyp_words = tuple(_punct_split_tokens(hyp_text))
         ref_words = tuple(_punct_split_tokens(ref_text))
-        for n in range(1, char_max + 1):
-            entry = stats[n - 1]
-            entry[0] += max(len(hyp_chars) - n + 1, 0)
-            entry[1] += max(len(ref_chars) - n + 1, 0)
-        for n in range(1, word_max + 1):
-            entry = stats[char_max + n - 1]
-            entry[0] += max(len(hyp_words) - n + 1, 0)
-            entry[1] += max(len(ref_words) - n + 1, 0)
+        row: list[int] = []
+        for hyp_size, ref_size, max_n in (
+            (len(hyp_chars), len(ref_chars), char_max),
+            (len(hyp_words), len(ref_words), word_max),
+        ):
+            for n in range(1, max_n + 1):
+                row += (max(hyp_size - n + 1, 0), max(ref_size - n + 1, 0), 0)
         char_grams = Counter(hyp_chars)  # the char unigrams
         _count_ngrams(char_grams, hyp_chars, 2, char_max)
         for gram, count in char_grams.items():
@@ -255,7 +277,7 @@ def _chrf_stats(
                         break
                     found += 1
                 count = found
-            stats[len(gram) - 1][2] += count
+            row[3 * len(gram) - 1] += count
         hyp_grams: Counter = Counter()
         ref_grams: Counter = Counter()
         _count_ngrams(hyp_grams, hyp_words, 1, word_max)
@@ -263,8 +285,9 @@ def _chrf_stats(
         for gram, count in hyp_grams.items():
             ref_count = ref_grams.get(gram)
             if ref_count:
-                stats[char_max + len(gram) - 1][2] += min(count, ref_count)
-    return [value for entry in stats for value in entry]
+                row[3 * (char_max + len(gram)) - 1] += min(count, ref_count)
+        rows.append(tuple(row))
+    return rows
 
 
 def chrf_pp(
@@ -272,16 +295,16 @@ def chrf_pp(
     references: "list[str] | tuple[str, ...]",
     config: ChrfConfig = ChrfConfig(),
     *,
-    pool: Executor | None = None,
+    scoring: Scoring | None = None,
 ) -> float:
-    """Corpus chrF++ in [0, 100]; a process pool shares the counting."""
+    """Corpus chrF++ in [0, 100], counted by `scoring` (a fresh one if None)."""
     if len(hypotheses) != len(references):
         raise DataError(
             f"chrF++: {len(hypotheses)} hypotheses vs {len(references)} references"
         )
     if not hypotheses:
         raise DataError("chrF++: empty corpus")
-    stats = _summed_stats(pool, _chrf_stats, hypotheses, references, config)
+    stats = (scoring or Scoring()).stats(config, hypotheses, references)
 
     avg_precision = 0.0
     avg_recall = 0.0
@@ -363,35 +386,29 @@ def resolve_tokenizer(spec: str) -> Tokenizer:
     raise ConfigError(f"unknown BLEU tokenizer {spec!r}")
 
 
-def _bleu_stats(
-    hypotheses: "list[str] | tuple[str, ...]",
-    references: "list[str] | tuple[str, ...]",
-    tokenizer: Tokenizer,
-    max_n: int,
-) -> list[int]:
-    """Integer BLEU statistics of line pairs: the clipped matches of orders
-    1..max_n, the hypothesis n-grams of orders 1..max_n, then the
-    hypothesis and reference lengths in tokens, one flat list."""
-    correct = [0] * max_n
-    total = [0] * max_n
-    hyp_len = 0
-    ref_len = 0
-    for hyp_raw, ref_raw in zip(hypotheses, references):
+def _bleu_rows(pairs: list[Pair], config: BleuConfig) -> list[tuple[int, ...]]:
+    """Integer BLEU statistics of each line pair: the clipped matches of
+    orders 1..max_n, the hypothesis n-grams of orders 1..max_n, then the
+    hypothesis and reference lengths in tokens, one flat row. The
+    tokenizer is resolved once per call."""
+    tokenizer = resolve_tokenizer(config.tokenizer)
+    max_n = config.max_ngram
+    rows = []
+    for hyp_raw, ref_raw in pairs:
         hyp_toks = tuple(tokenizer(hyp_raw))
         ref_toks = tuple(tokenizer(ref_raw))
-        hyp_len += len(hyp_toks)
-        ref_len += len(ref_toks)
         hyp_grams: Counter = Counter()
         ref_grams: Counter = Counter()
         _count_ngrams(hyp_grams, hyp_toks, 1, max_n)
         _count_ngrams(ref_grams, ref_toks, 1, max_n)
-        for n in range(1, max_n + 1):
-            total[n - 1] += max(len(hyp_toks) - n + 1, 0)
+        correct = [0] * max_n
         for gram, count in hyp_grams.items():
             ref_count = ref_grams.get(gram)
             if ref_count:
                 correct[len(gram) - 1] += min(count, ref_count)
-    return [*correct, *total, hyp_len, ref_len]
+        total = [max(len(hyp_toks) - n + 1, 0) for n in range(1, max_n + 1)]
+        rows.append((*correct, *total, len(hyp_toks), len(ref_toks)))
+    return rows
 
 
 def bleu(
@@ -399,20 +416,18 @@ def bleu(
     references: "list[str] | tuple[str, ...]",
     config: BleuConfig = BleuConfig(),
     *,
-    pool: Executor | None = None,
+    scoring: Scoring | None = None,
 ) -> float:
-    """Corpus BLEU in [0, 100] under the configured tokenization; a process
-    pool shares the counting."""
+    """Corpus BLEU in [0, 100] under the configured tokenization, counted by
+    `scoring` (a fresh one if None)."""
     if len(hypotheses) != len(references):
         raise DataError(
             f"BLEU: {len(hypotheses)} hypotheses vs {len(references)} references"
         )
     if not hypotheses:
         raise DataError("BLEU: empty corpus")
-    tokenizer = resolve_tokenizer(config.tokenizer)
-
     max_n = config.max_ngram
-    stats = _summed_stats(pool, _bleu_stats, hypotheses, references, tokenizer, max_n)
+    stats = (scoring or Scoring()).stats(config, hypotheses, references)
     correct, total = stats[:max_n], stats[max_n : 2 * max_n]
     hyp_len, ref_len = stats[2 * max_n :]
 
@@ -449,9 +464,10 @@ def evaluate_corpus(
     chrf_config: ChrfConfig = ChrfConfig(),
     bleu_config: BleuConfig = BleuConfig(),
     *,
-    pool: Executor | None = None,
+    scoring: Scoring | None = None,
 ) -> EvalReport:
-    """Score a hypothesis file against a line-aligned reference file.
+    """Score a hypothesis file against a line-aligned reference file, both
+    metrics counted by `scoring` (a fresh one if None).
 
     Lines end at LF only, as `write_lines` wrote them: a hypothesis may
     hold any other line-break character.
@@ -463,11 +479,12 @@ def evaluate_corpus(
             f"alignment mismatch: {hyp_path} has {len(hyps)} lines, "
             f"{ref_path} has {len(refs)}"
         )
+    scoring = scoring or Scoring()
     return EvalReport(
         source_code=source_code,
         target_code=target_code,
         system=system,
-        chrf_pp=chrf_pp(hyps, refs, chrf_config, pool=pool),
-        bleu=bleu(hyps, refs, bleu_config, pool=pool),
+        chrf_pp=chrf_pp(hyps, refs, chrf_config, scoring=scoring),
+        bleu=bleu(hyps, refs, bleu_config, scoring=scoring),
         sentence_count=len(hyps),
     )

@@ -11,11 +11,14 @@ nothing. Each stage pulls the stages it reads: `evaluate_policy` calls
 stage it has found current or has built, and checks it no more; this holds
 while nothing else writes the run directory (the CLI holds `RunLock`), and
 a new `Pipeline` picks up edited inputs. `run_all` scores each policy on
-one scorer thread while the next policy translates on the calling thread;
-the scorer hands the chrF++/BLEU counting to a pool of forked worker
-processes, one per CPU. Both are shut down when `run_all` returns or
-raises. The run directory is named by the config hash and guarded by a
-lock file.
+one scorer thread while the next policy translates on the calling thread.
+The scorer counts chrF++/BLEU through one `metrics.Scoring` per run, which
+counts each distinct (hypothesis, reference) line pair once, whichever
+policies share it; it hands the counting to a pool of forked worker
+processes, one per CPU, when some `evaluate.<policy>` stage is not current
+as `run_all` starts, and counts inline otherwise. The thread and the pool
+are shut down when `run_all` returns or raises. The run directory is named
+by the config hash and guarded by a lock file.
 """
 
 from __future__ import annotations
@@ -78,12 +81,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _scoring_pool() -> ProcessPoolExecutor | None:
-    """Worker processes that score every chrF++/BLEU chunk.
+    """Worker processes that count the chrF++/BLEU rows of new line pairs.
 
     One per CPU; None with one CPU or where processes cannot be forked. All
     workers fork here, before this returns: a fork copies only the calling
     thread, so it must happen while the process has one thread, and
-    `run_all` calls this before any stage or the scorer thread starts one.
+    `run_all` calls this before any stage or the scorer thread starts one,
+    and only when some evaluation is not current.
     A fork pool starts every worker at its first submit and none later.
     (`forkserver` and `spawn` would re-run the calling script in each
     worker, which breaks a script without a `__main__` guard.)
@@ -197,6 +201,7 @@ class Pipeline:
             templates=self.templates,
         )
         self._resolved: set[str] = set()  # stages found current or built
+        self._current: dict[str, dict] = {}  # manifests found current on disk
 
     # ------------------------------------------------------------- wiring
 
@@ -224,14 +229,15 @@ class Pipeline:
 
     # -------------------------------------------------------------- stages
 
-    def _stage(
-        self,
-        name: str,
-        inputs: dict[str, str],
-        outputs: Sequence[Path],
-        build: Callable[[], None],
-    ) -> None:
-        """Run `build`, which writes `outputs`, unless the stage is current.
+    @staticmethod
+    def _manifest_path(outputs: Sequence[Path]) -> Path:
+        return outputs[0].with_name(outputs[0].name + ".manifest.json")
+
+    def _unless_current(
+        self, name: str, inputs: dict[str, str], outputs: Sequence[Path]
+    ) -> dict | None:
+        """None if the stage is current on disk, else the manifest to record
+        once it is built; every input file must exist.
 
         The stage's manifest, `<first output>.manifest.json`, records the
         stage name, the hashes of the input files, the semantic config, the
@@ -240,13 +246,11 @@ class Pipeline:
         the outputs now on disk; a missing output, a missing manifest or one
         that is not valid JSON is not current. Writes need no temp file and
         rename: a half-written artifact or manifest never matches the
-        recorded hashes, so the stage runs again. A stage found current or
-        built is not checked again by this `Pipeline`; one whose build raised
-        is checked again on the next call.
+        recorded hashes, so the stage runs again. A stage found current is
+        found so again without a look at the disk while its inputs hash the
+        same: nothing else writes the run directory.
         """
-        if name in self._resolved:
-            return
-        manifest_path = outputs[0].with_name(outputs[0].name + ".manifest.json")
+        manifest_path = self._manifest_path(outputs)
         manifest = {
             "stage": name,
             "inputs": {key: _sha256_file(path) for key, path in inputs.items()},
@@ -254,6 +258,8 @@ class Pipeline:
             "backend": {"id": self.llm.backend_id, "model": self.llm.model_id},
             "seed": self.config.seed,
         }
+        if self._current.get(name) == manifest:
+            return None
         if manifest_path.exists() and all(path.exists() for path in outputs):
             try:
                 recorded = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -261,12 +267,37 @@ class Pipeline:
                 recorded = None
             current = {path.name: _sha256_file(path) for path in outputs}
             if recorded == {**manifest, "outputs": current}:
-                log.info("%s up to date, skipping", name)
-                self._resolved.add(name)
-                return
-        build()
+                self._current[name] = manifest
+                return None
+        return manifest
+
+    def _record(self, manifest: dict, outputs: Sequence[Path]) -> None:
+        """Write the manifest of a built stage, with its outputs' hashes."""
+        self._current.pop(manifest["stage"], None)
         manifest["outputs"] = {path.name: _sha256_file(path) for path in outputs}
-        _write_json(manifest_path, manifest)
+        _write_json(self._manifest_path(outputs), manifest)
+
+    def _stage(
+        self,
+        name: str,
+        inputs: dict[str, str],
+        outputs: Sequence[Path],
+        build: Callable[[], None],
+    ) -> None:
+        """Run `build`, which writes `outputs`, unless the stage is current
+        (see `_unless_current`), and record it.
+
+        A stage found current or built is not checked again by this
+        `Pipeline`; one whose build raised is checked again on the next call.
+        """
+        if name in self._resolved:
+            return
+        manifest = self._unless_current(name, inputs, outputs)
+        if manifest is None:
+            log.info("%s up to date, skipping", name)
+        else:
+            build()
+            self._record(manifest, outputs)
         self._resolved.add(name)
 
     def mine_words(self) -> Path:
@@ -473,7 +504,7 @@ class Pipeline:
 
     def evaluate(self, hyp_path: str | Path, ref_path: str | Path,
                  system: str = "system", *,
-                 pool: Executor | None = None) -> metrics.EvalReport:
+                 scoring: metrics.Scoring | None = None) -> metrics.EvalReport:
         return metrics.evaluate_corpus(
             hyp_path,
             ref_path,
@@ -482,7 +513,7 @@ class Pipeline:
             system=system,
             chrf_config=self.config.chrf_config(),
             bleu_config=self.config.bleu_config(),
-            pool=pool,
+            scoring=scoring,
         )
 
     def _reference(self) -> Path:
@@ -497,33 +528,52 @@ class Pipeline:
         )
         return ref_path
 
+    def _evaluation(self, policy: str) -> tuple[str, dict[str, str], list[Path]]:
+        """The name, inputs and outputs of the `evaluate.<policy>` stage."""
+        inputs = {
+            "hypotheses": str(self.run_dir / f"hyp.{policy}.txt"),
+            "reference": str(self.run_dir / "test.ref.txt"),
+        }
+        vocab = metrics.subword_vocab(self.config.bleu_tokenizer)
+        if vocab is not None:
+            inputs["subword_vocab"] = vocab
+        return f"evaluate.{policy}", inputs, [self.run_dir / f"report.{policy}.json"]
+
+    def _scoring_needed(self, policies: Sequence[str]) -> bool:
+        """Whether some `evaluate.<policy>` stage is not current on disk as
+        it stands, before any translation runs."""
+        for policy in policies:
+            name, inputs, outputs = self._evaluation(policy)
+            if not all(Path(path).is_file() for path in inputs.values()):
+                return True
+            if self._unless_current(name, inputs, outputs) is not None:
+                return True
+        return False
+
     def evaluate_policy(
-        self, policy: str, scorer: Executor, pool: Executor | None = None
+        self, policy: str, scorer: Executor, scoring: metrics.Scoring | None = None
     ) -> Future[metrics.EvalReport]:
         """Stage 5: score the hypotheses of `translate(policy)` against the
         test targets.
 
         The translation and the reference are pulled on the calling thread;
         the `evaluate.<policy>` stage runs on `scorer`, and the returned
-        future holds its report. `pool`, if given, is a process pool that
-        shares the scoring. Scoring sends no backend request.
+        future holds its report. `scoring` is the run's line-pair counting
+        (a fresh one if None). Scoring sends no backend request.
         """
-        hyp_path = self.translate(policy)
-        ref_path = self._reference()
-        report_path = self.run_dir / f"report.{policy}.json"
-        inputs = {"hypotheses": str(hyp_path), "reference": str(ref_path)}
-        vocab = metrics.subword_vocab(self.config.bleu_tokenizer)
-        if vocab is not None:
-            inputs["subword_vocab"] = vocab
+        self.translate(policy)
+        self._reference()
+        name, inputs, outputs = self._evaluation(policy)
+        hyp_path, ref_path = inputs["hypotheses"], inputs["reference"]
 
         def build() -> None:
-            report = self.evaluate(hyp_path, ref_path, system=policy, pool=pool)
-            _write_json(report_path, report.to_record())
+            report = self.evaluate(hyp_path, ref_path, system=policy, scoring=scoring)
+            _write_json(outputs[0], report.to_record())
 
         def score() -> metrics.EvalReport:
-            self._stage(f"evaluate.{policy}", inputs, [report_path], build)
+            self._stage(name, inputs, outputs, build)
             return metrics.EvalReport.from_record(
-                json.loads(report_path.read_text(encoding="utf-8"))
+                json.loads(outputs[0].read_text(encoding="utf-8"))
             )
 
         return scorer.submit(score)
@@ -535,14 +585,18 @@ class Pipeline:
         and write `report.txt`.
 
         Each policy is scored on one scorer thread while the next one
-        translates here. Before each translation, the error of a scoring
-        that has already failed is raised; on any error the pending scorings
-        are cancelled, and the one running is waited for.
+        translates here, through one `metrics.Scoring` for the whole run.
+        Worker processes fork only when some evaluation is not current as
+        the run starts; an evaluation that a stale translation makes stale
+        later is counted inline. Before each translation, the error of a
+        scoring that has already failed is raised; on any error the pending
+        scorings are cancelled, and the one running is waited for.
         """
         selected = tuple(policies) if policies else self.config.effective_policies()
         for policy in selected:  # reject a policy before any stage runs
             self.config.policy(policy)
-        pool = _scoring_pool()
+        pool = _scoring_pool() if self._scoring_needed(selected) else None
+        scoring = metrics.Scoring(pool)
         with pool or contextlib.nullcontext():
             scorer = ThreadPoolExecutor(1, thread_name_prefix="scorer")
             try:
@@ -551,7 +605,7 @@ class Pipeline:
                     for future in futures:
                         if future.done():
                             future.result()  # raises a failed scoring's error
-                    futures.append(self.evaluate_policy(policy, scorer, pool))
+                    futures.append(self.evaluate_policy(policy, scorer, scoring))
                 reports = [future.result() for future in futures]
             finally:
                 scorer.shutdown(cancel_futures=True)

@@ -141,24 +141,37 @@ def back_translate(
     requests = [request_of[sentence] for sentence in d_u]
     results = generate_each(llm, requests, max_workers, "back-translations")
     kept: list[tuple[str, str]] = []
+    dropped: list[str] = []
     for sentence, completions in zip(d_u, results):
         if completions and completions[0].text:
             kept.append((completions[0].text, sentence))
         else:
-            log.warning("no back-translation for %r; dropped", sentence[:40])
-    pairs: list[SentencePair] = []
-    for (text, sentence), similarity in zip(kept, scorer.sims(kept)):
-        if similarity == 1.0:
-            log.warning("back-translation equals its input: %r", sentence[:40])
-        pairs.append(
-            SentencePair(
-                source_text=text,
-                target_text=sentence,
-                similarity=similarity,
-                origin=ORIGIN_MINED,
-            )
+            dropped.append(sentence)
+    _warn_pairs("no back-translation; dropped", dropped)
+    pairs = tuple(
+        SentencePair(
+            source_text=text,
+            target_text=sentence,
+            similarity=similarity,
+            origin=ORIGIN_MINED,
         )
-    return MinedPool(pairs=tuple(pairs), iteration=iteration)
+        for (text, sentence), similarity in zip(kept, scorer.sims(kept))
+    )
+    _warn_pairs(
+        "back-translation equals its input",
+        [pair.target_text for pair in pairs if pair.similarity == 1.0],
+    )
+    return MinedPool(pairs=pairs, iteration=iteration)
+
+
+def _warn_pairs(message: str, sentences: list[str]) -> None:
+    """One warning for the pairs of `sentences`, if any: how many pairs, how
+    many distinct sentences, and the first one."""
+    if sentences:
+        log.warning(
+            "%s: %d pairs, %d distinct, e.g. %r", message,
+            len(sentences), len(set(sentences)), sentences[0][:40],
+        )
 
 
 def select_random(pool: MinedPool, k: int) -> list[SentencePair]:

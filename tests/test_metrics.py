@@ -372,7 +372,8 @@ def test_no_alphanumeric_code_point_is_punctuation():
 
 
 # ---------------------------------------------------------------------------
-# scoring over a process pool: chunks of lines, integer statistics summed
+# line-pair counting: each distinct pair once per Scoring, new pairs in
+# contiguous chunks over a process pool, integer rows summed
 # ---------------------------------------------------------------------------
 
 
@@ -391,9 +392,9 @@ class RecordingPool:
         self.pool = pool
         self.chunk_sizes: list[int] = []
 
-    def submit(self, fn, hypotheses, *args):
-        self.chunk_sizes.append(len(hypotheses))
-        return self.pool.submit(fn, hypotheses, *args)
+    def submit(self, fn, pairs, *args):
+        self.chunk_sizes.append(len(pairs))
+        return self.pool.submit(fn, pairs, *args)
 
 
 @given(
@@ -408,15 +409,19 @@ def test_scores_with_pool_equal_scores_without(
 ):
     half = len(corpus) // 2
     hyps, refs = corpus[:half], corpus[half : 2 * half]
+    # a second corpus that shares some pairs with the first, in another order
+    hyps2, refs2 = hyps[::-1] + corpus[:1], refs[::-1] + corpus[-1:]
     chrf_config = ChrfConfig(char_ngram_max=char_max)
     bleu_config = BleuConfig(smoothing=smoothing, tokenizer=tokenizer)
     with mock.patch.object(metrics, "usable_cpus", lambda: chunks):
-        assert chrf_pp(hyps, refs, chrf_config, pool=pool) == oracle_chrf_pp(
-            hyps, refs, chrf_config
-        )
-        assert bleu(hyps, refs, bleu_config, pool=pool) == oracle_bleu(
-            hyps, refs, bleu_config
-        )
+        for scoring in (metrics.Scoring(), metrics.Scoring(pool)):
+            for h, r in ((hyps, refs), (hyps2, refs2)):
+                assert chrf_pp(h, r, chrf_config, scoring=scoring) == oracle_chrf_pp(
+                    h, r, chrf_config
+                )
+                assert bleu(h, r, bleu_config, scoring=scoring) == oracle_bleu(
+                    h, r, bleu_config
+                )
 
 
 @pytest.mark.parametrize(
@@ -428,18 +433,47 @@ def test_scores_with_pool_equal_scores_without(
         (["", "", "cat"], ["the cat", "a dog", "cat"], 2, [1, 2]),
         (["", ""], ["the cat", "a dog"], 3, [1, 1]),
         (["a", "b", "c", "d", "e", "f", "g"], list("gfedcba"), 3, [2, 2, 3]),
+        # three distinct pairs among five lines: each is sent once
+        (["a", "b", "a", "a", "b"], ["x", "y", "x", "z", "y"], 2, [1, 2]),
     ],
     ids=["fewer-lines-than-chunks", "one-line", "empty-hypotheses",
-         "only-empty-hypotheses", "uneven-chunks"],
+         "only-empty-hypotheses", "uneven-chunks", "repeated-pairs"],
 )
 def test_pool_scores_contiguous_chunks(pool, hyps, refs, chunks, sent):
     recording = RecordingPool(pool)
+    scoring = metrics.Scoring(recording)
     with mock.patch.object(metrics, "usable_cpus", lambda: chunks):
-        assert chrf_pp(hyps, refs, pool=recording) == chrf_pp(hyps, refs)
-        assert bleu(hyps, refs, pool=recording) == bleu(hyps, refs)
-    # every line went to the pool: this process scored nothing itself
-    assert sum(sent) == len(hyps)
+        assert chrf_pp(hyps, refs, scoring=scoring) == chrf_pp(hyps, refs)
+        assert bleu(hyps, refs, scoring=scoring) == bleu(hyps, refs)
+        # every pair is in the memo now: scoring again sends nothing
+        assert chrf_pp(hyps, refs, scoring=scoring) == chrf_pp(hyps, refs)
+    # every distinct pair went to the pool: this process counted nothing
+    assert sum(sent) == len(set(zip(hyps, refs)))
     assert recording.chunk_sizes == sent * 2
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+def test_a_second_corpus_counts_only_its_new_pairs(pool, monkeypatch, pooled):
+    # one chunk per call, so the chunk sizes are the pairs sent per corpus
+    monkeypatch.setattr(metrics, "usable_cpus", lambda: 1)
+    if pooled:
+        recording = RecordingPool(pool)
+        scoring, counted = metrics.Scoring(recording), recording.chunk_sizes
+    else:
+        rows, counted = metrics._chrf_rows, []
+
+        def counting_rows(pairs, config):
+            counted.append(len(pairs))
+            return rows(pairs, config)
+
+        monkeypatch.setattr(metrics, "_chrf_rows", counting_rows)
+        scoring = metrics.Scoring()
+    first = (["a b", "c d", "a b", "e"], ["a b", "c x", "a b", "f"])
+    second = (["c d", "a b", "g h", "g h"], ["c x", "a c", "g h", "g h"])
+    for hyps, refs in (first, second):
+        assert chrf_pp(hyps, refs, scoring=scoring) == oracle_chrf_pp(hyps, refs)
+    # three distinct pairs in the first corpus; the second adds two
+    assert counted == [3, 2]
 
 
 def test_hypothesis_keeps_unicode_line_breaks(tmp_path):
@@ -460,12 +494,14 @@ def test_hypothesis_keeps_unicode_line_breaks(tmp_path):
 
 
 def assert_chrf_equals_oracle(hyps, refs, config, pool):
-    flat = [value for entry in oracle_chrf_stats(hyps, refs, config) for value in entry]
-    assert metrics._chrf_stats(hyps, refs, config) == flat
+    rows = metrics._chrf_rows(list(zip(hyps, refs)), config)
+    for hyp, ref, row in zip(hyps, refs, rows):
+        oracle = oracle_chrf_stats([hyp], [ref], config)
+        assert list(row) == [value for entry in oracle for value in entry]
     expected = oracle_chrf_pp(hyps, refs, config)
     assert chrf_pp(hyps, refs, config) == expected
     with mock.patch.object(metrics, "usable_cpus", lambda: 2):
-        assert chrf_pp(hyps, refs, config, pool=pool) == expected
+        assert chrf_pp(hyps, refs, config, scoring=metrics.Scoring(pool)) == expected
 
 
 @pytest.mark.parametrize(

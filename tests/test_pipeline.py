@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -335,21 +336,116 @@ def test_scoring_error_stops_the_run_before_the_next_translation(tmp_path, toy_d
     assert multiprocessing.active_children() == []
 
 
+@contextlib.contextmanager
+def counting_forks():
+    """The forks this process makes inside the block: the number of threads
+    the process has at each."""
+    forks, recording = [], [True]
+    os.register_at_fork(  # stays registered: `recording` switches it off
+        before=lambda: recording and forks.append(threading.active_count())
+    )
+    try:
+        yield forks
+    finally:
+        recording.clear()
+
+
 def test_scoring_workers_fork_while_the_process_has_one_thread(
     tmp_path, toy_dir, monkeypatch
 ):
     # a fork copies only the forking thread: a lock another thread holds
     # would stay locked in the worker
     monkeypatch.setattr(metrics, "usable_cpus", lambda: 3)
-    threads_at_fork, recording = [], [True]
-    os.register_at_fork(  # stays registered: `recording` switches it off
-        before=lambda: recording and threads_at_fork.append(threading.active_count())
-    )
-    try:
+    with counting_forks() as threads_at_fork:
         toy_pipeline(toy_dir / "toy.ini", tmp_path, concurrency=8).run_all()
-    finally:
-        recording.clear()
     assert threads_at_fork == [1, 1, 1]
+
+
+def report_files(run_dir: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in run_dir.glob("report.*")}
+
+
+def test_resume_forks_no_scoring_worker(tmp_path, toy_dir, monkeypatch):
+    monkeypatch.setattr(metrics, "usable_cpus", lambda: 3)
+    ini = toy_dir / "toy.ini"
+    with counting_forks() as forks:
+        expected = toy_pipeline(ini, tmp_path).run_all()
+        assert len(forks) == 3
+        run_dir = toy_pipeline(ini, tmp_path).run_dir
+        reports = report_files(run_dir)
+        # every evaluation is current: nothing to score, so no worker
+        assert toy_pipeline(ini, tmp_path).run_all() == expected
+        assert len(forks) == 3
+        assert report_files(run_dir) == reports
+
+        # one stale evaluation is enough to fork the workers
+        (run_dir / "report.topk.json").unlink()
+        assert toy_pipeline(ini, tmp_path).run_all() == expected
+        assert len(forks) == 6
+    assert report_files(run_dir) == reports
+    assert multiprocessing.active_children() == []
+
+
+def test_evaluation_made_stale_by_a_translation_is_scored_inline(
+    tmp_path, toy_dir, monkeypatch
+):
+    monkeypatch.setattr(metrics, "usable_cpus", lambda: 3)
+    data = tmp_path / "toy"
+    shutil.copytree(toy_dir, data, ignore=shutil.ignore_patterns("golden"))
+    pipeline = toy_pipeline(data / "toy.ini", tmp_path)
+    pipeline.run_all()
+    target = data / "test.zor.txt"
+    edited = target.read_text(encoding="utf-8").replace("\n", " ak\n", 1)
+    target.write_text(edited, encoding="utf-8")
+
+    # as the run starts, every evaluation is current on disk; the edited
+    # target then rewrites the reference, and every policy is scored again
+    with counting_forks() as forks:
+        reports = toy_pipeline(data / "toy.ini", tmp_path).run_all()
+    assert forks == []
+    ref = pipeline.run_dir / "test.ref.txt"
+    assert lines(ref)[0].endswith(" ak")
+    for report in reports:
+        hyp = pipeline.run_dir / f"hyp.{report.system}.txt"
+        assert report == pipeline.evaluate(hyp, ref, report.system)
+
+
+def test_golden_reports_without_a_pool(tmp_path, toy_dir, monkeypatch):
+    # one CPU: no worker forks, and every line pair is counted inline
+    monkeypatch.setattr(metrics, "usable_cpus", lambda: 1)
+    with counting_forks() as forks:
+        pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
+        pipeline.run_all()
+    assert forks == []
+    golden = report_files(next((toy_dir / "golden").glob("run-*")))
+    assert len(golden) == 15  # a report and its manifest per policy, and report.txt
+    assert report_files(pipeline.run_dir) == golden
+
+
+def test_run_all_counts_each_distinct_line_pair_once(tmp_path, toy_dir, monkeypatch):
+    monkeypatch.setattr(metrics, "usable_cpus", lambda: 1)
+    counted = Counter()
+
+    def counting(metric, rows):
+        def count(pairs, config):
+            counted[metric] += len(pairs)
+            return rows(pairs, config)
+        return count
+
+    monkeypatch.setattr(metrics, "_chrf_rows", counting("chrf", metrics._chrf_rows))
+    monkeypatch.setattr(metrics, "_bleu_rows", counting("bleu", metrics._bleu_rows))
+    pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
+    reports = pipeline.run_all()
+    references = lines(pipeline.run_dir / "test.ref.txt")
+    pairs = [
+        (hyp, ref)
+        for report in reports
+        for hyp, ref in zip(lines(pipeline.run_dir / f"hyp.{report.system}.txt"),
+                            references)
+    ]
+    assert len(pairs) == 7 * len(references)
+    assert counted == {"chrf": len(set(pairs)), "bleu": len(set(pairs))}
+    assert len(set(pairs)) < len(pairs)  # policies agree on some lines
 
 
 @pytest.mark.parametrize("concurrency", [1, 8])

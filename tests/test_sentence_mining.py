@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 import random
 from collections import Counter
@@ -149,6 +150,22 @@ class TestBackTranslate:
         texts = [p.source_text for p in pool.pairs]
         assert texts == ["ava a", "ava b", "ava a", "ava a"]
         assert llm.call_count == 2
+
+    def test_one_warning_per_kind_and_round(self, tmp_path, caplog):
+        sentences = ["zor a", "same", "zor b", "same", "zor a", "same", "zor a"]
+        llm = backtranslation_backend(
+            tmp_path, sentences, self.shots,
+            lambda s: s if s == "same" else "" if s == "zor a" else "ava b",
+        )
+        with caplog.at_level(logging.WARNING, logger="icl_miner.sentence_mining"):
+            pool = back_translate(
+                tuple(sentences), self.shots, llm, self.scorer, AVA, ZOR
+            )
+        assert [p.target_text for p in pool.pairs] == ["same", "zor b", "same", "same"]
+        assert [record.getMessage() for record in caplog.records] == [
+            "no back-translation; dropped: 3 pairs, 1 distinct, e.g. 'zor a'",
+            "back-translation equals its input: 3 pairs, 1 distinct, e.g. 'same'",
+        ]
 
 
 class TestSelectRandom:
