@@ -6,6 +6,7 @@ import functools
 import logging
 import math
 import operator
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
@@ -258,12 +259,14 @@ def generate_each(
     This is the failure policy of every LLM fan-out in the pipeline. A
     request whose call raises BackendError yields no completions, and each
     distinct failed request is logged once, so a caller treats a failure
-    as an empty generation. When more than half of `requests` failed
-    (counted as passed, repeats included), one BackendError aborts the
-    stage instead: it names the share that failed and the first failure in
-    input order, from which it is chained. Failures are not cached, so a
-    stage that runs again sends them again. `what` names the requests in
-    these messages, for example "word translations".
+    as an empty generation, and one summary warning gives the share that
+    failed (counted as passed, repeats included), the distinct count and
+    the count per exception class. When more than half of `requests`
+    failed, one BackendError aborts the stage instead: it names the share
+    that failed and the first failure in input order, from which it is
+    chained. Failures are not cached, so a stage that runs again sends
+    them again. `what` names the requests in these messages, for example
+    "word translations".
 
     Each distinct request is sent once, with up to max_workers in flight.
     Requests a caching wrapper already holds (its `cached`) are answered
@@ -290,4 +293,12 @@ def generate_each(
             f"{len(failed)}/{len(outcomes)} {what} failed; aborting "
             f"(first: {failed[0]})"
         ) from failed[0]
+    if failed:
+        classes = sorted(Counter(type(exc).__name__ for exc in failed).items())
+        log.warning(
+            "%d/%d %s failed (%d distinct; %s); their outputs are empty",
+            len(failed), len(outcomes), what,
+            sum(isinstance(by_request[r], BackendError) for r in distinct),
+            ", ".join(f"{name}: {count}" for name, count in classes),
+        )
     return [[] if isinstance(o, BackendError) else o for o in outcomes]

@@ -30,26 +30,19 @@ Both scores are computed in two steps. `_chrf_rows` and `_bleu_rows` turn
 each line pair into a row of integer statistics (per-order totals and
 matches, and for BLEU the two lengths); the score is then a float function
 of the column sums over every line of the corpus. A `Scoring` object, one
-per pipeline run, does the counting. It keeps the row of every distinct
-(hypothesis, reference) pair it has counted, per metric config, and counts
-only the pairs it has not seen: a run scores the same references under
-every policy, and policies often agree on a line. Given a process pool,
-it splits the new pairs into contiguous chunks, one per CPU, hands every
-chunk to the pool's workers while the calling thread waits, and keeps the
-rows they send back; the process's other threads, such as the pipeline's
-next translation, run meanwhile. Without one it counts them inline. A
-call without a `Scoring` gets a fresh one with no pool. Integer sums do
-not depend on the order or the chunking, so a score is the same, bit for
-bit, with or without a pool or a memo.
+per pipeline run, does the counting on the calling thread. It keeps the row
+of every distinct (hypothesis, reference) pair it has counted, per metric
+config, and counts only the pairs it has not seen: a run scores the same
+references under every policy, and policies often agree on a line. A call
+without a `Scoring` gets a fresh one. Integer sums do not depend on the
+order, so a score is the same, bit for bit, with or without a memo.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import unicodedata
 from collections import Counter
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -175,20 +168,12 @@ def _count_ngrams(
         grams.update(items[i : i + n] for i in range(size - n + 1))
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: the number of chunks a pool counts."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 Pair = tuple[str, str]  # a (hypothesis, reference) line pair, as read
 
 
 class Scoring:
-    """The line-pair counting of one run: a process pool, or None, and the
-    memo of every row counted so far.
+    """The line-pair counting of one run: the memo of every row counted so
+    far.
 
     The memo maps a metric config (`ChrfConfig` or `BleuConfig`) to the
     row of each raw line pair counted under it, so a pair is counted once
@@ -198,8 +183,7 @@ class Scoring:
     use it.
     """
 
-    def __init__(self, pool: Executor | None = None):
-        self.pool = pool
+    def __init__(self) -> None:
         self._rows: dict[ChrfConfig | BleuConfig, dict[Pair, tuple[int, ...]]] = {}
 
     def stats(
@@ -209,30 +193,13 @@ class Scoring:
         references: "list[str] | tuple[str, ...]",
     ) -> list[int]:
         """The column sums of the rows of every line pair, in corpus order.
-
-        Pairs not yet in the memo are counted once each: with a pool, in
-        contiguous chunks, one per CPU, that its workers count while the
-        calling thread only waits (counting a chunk here would hold the
-        interpreter lock that the executor's threads need to hand the
-        workers theirs, and that the process's other threads need to go on
-        with their own work); without one, inline.
-        """
+        Pairs not yet in the memo are counted once each, inline."""
         count = _chrf_rows if isinstance(config, ChrfConfig) else _bleu_rows
         memo = self._rows.setdefault(config, {})
         pairs = list(zip(hypotheses, references))
         new = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
-        if new and self.pool is None:
+        if new:
             memo.update(zip(new, count(new, config)))
-        elif new:
-            size, chunks = len(new), usable_cpus()
-            bounds = [size * i // chunks for i in range(chunks + 1)]
-            futures = [
-                (new[start:end], self.pool.submit(count, new[start:end], config))
-                for start, end in zip(bounds, bounds[1:])
-                if start < end
-            ]
-            for chunk, future in futures:
-                memo.update(zip(chunk, future.result()))
         return [sum(column) for column in zip(*map(memo.__getitem__, pairs))]
 
 

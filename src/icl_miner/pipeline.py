@@ -10,27 +10,20 @@ nothing. Each stage pulls the stages it reads: `evaluate_policy` calls
 `translate`, which calls what its policy needs. A `Pipeline` remembers each
 stage it has found current or has built, and checks it no more; this holds
 while nothing else writes the run directory (the CLI holds `RunLock`), and
-a new `Pipeline` picks up edited inputs. `run_all` scores each policy on
-one scorer thread while the next policy translates on the calling thread.
-The scorer counts chrF++/BLEU through one `metrics.Scoring` per run, which
-counts each distinct (hypothesis, reference) line pair once, whichever
-policies share it; it hands the counting to a pool of forked worker
-processes, one per CPU, when some `evaluate.<policy>` stage is not current
-as `run_all` starts, and counts inline otherwise. The thread and the pool
-are shut down when `run_all` returns or raises. The run directory is named
-by the config hash and guarded by a lock file.
+a new `Pipeline` picks up edited inputs. `run_all` translates and scores
+each policy in turn on the calling thread. It counts chrF++/BLEU through one
+`metrics.Scoring` per run, which counts each distinct (hypothesis,
+reference) line pair once, whichever policies share it. The run directory
+is named by the config hash and guarded by a lock file.
 """
 
 from __future__ import annotations
 
-import contextlib
 import fcntl
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -80,26 +73,6 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _scoring_pool() -> ProcessPoolExecutor | None:
-    """Worker processes that count the chrF++/BLEU rows of new line pairs.
-
-    One per CPU; None with one CPU or where processes cannot be forked. All
-    workers fork here, before this returns: a fork copies only the calling
-    thread, so it must happen while the process has one thread, and
-    `run_all` calls this before any stage or the scorer thread starts one,
-    and only when some evaluation is not current.
-    A fork pool starts every worker at its first submit and none later.
-    (`forkserver` and `spawn` would re-run the calling script in each
-    worker, which breaks a script without a `__main__` guard.)
-    """
-    workers = metrics.usable_cpus()
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    pool.submit(int).result()
-    return pool
-
-
 class RunLock:
     """One process owns a run directory at a time.
 
@@ -107,14 +80,10 @@ class RunLock:
     PID. The kernel releases the lock when the owner's process ends, however
     it ends, so a lock file that no process holds (a killed run left it) is
     taken over whatever it contains, and only a live owner rejects a second
-    one. A forked child (a scoring worker) would share the lock and keep it
-    past a killed owner, so each child closes the held descriptors as it
-    forks, and leaving the lock from a child does nothing. `flock` is
-    unreliable on some network file systems, where two hosts may both take
-    it: keep run directories on a local disk.
+    one. The descriptor is not inherited by a subprocess (PEP 446). `flock`
+    is unreliable on some network file systems, where two hosts may both
+    take it: keep run directories on a local disk.
     """
-
-    _held: set[RunLock] = set()  # the locks this process owns
 
     def __init__(self, run_dir: Path):
         self.path = run_dir / ".lock"
@@ -126,7 +95,6 @@ class RunLock:
             try:
                 if self._take(fd):
                     self._fd = fd
-                    RunLock._held.add(self)
                     return self
             except BaseException:
                 os.close(fd)
@@ -153,20 +121,8 @@ class RunLock:
         return True
 
     def __exit__(self, *exc_info) -> None:
-        if self not in RunLock._held:
-            return  # a forked child: the owner unlocks
-        RunLock._held.discard(self)
         self.path.unlink(missing_ok=True)  # while still holding the lock
         os.close(self._fd)
-
-    @classmethod
-    def _close_in_child(cls) -> None:
-        for lock in cls._held:
-            os.close(lock._fd)
-        cls._held.clear()
-
-
-os.register_at_fork(after_in_child=RunLock._close_in_child)
 
 
 class Pipeline:
@@ -528,55 +484,30 @@ class Pipeline:
         )
         return ref_path
 
-    def _evaluation(self, policy: str) -> tuple[str, dict[str, str], list[Path]]:
-        """The name, inputs and outputs of the `evaluate.<policy>` stage."""
-        inputs = {
-            "hypotheses": str(self.run_dir / f"hyp.{policy}.txt"),
-            "reference": str(self.run_dir / "test.ref.txt"),
-        }
-        vocab = metrics.subword_vocab(self.config.bleu_tokenizer)
-        if vocab is not None:
-            inputs["subword_vocab"] = vocab
-        return f"evaluate.{policy}", inputs, [self.run_dir / f"report.{policy}.json"]
-
-    def _scoring_needed(self, policies: Sequence[str]) -> bool:
-        """Whether some `evaluate.<policy>` stage is not current on disk as
-        it stands, before any translation runs."""
-        for policy in policies:
-            name, inputs, outputs = self._evaluation(policy)
-            if not all(Path(path).is_file() for path in inputs.values()):
-                return True
-            if self._unless_current(name, inputs, outputs) is not None:
-                return True
-        return False
-
     def evaluate_policy(
-        self, policy: str, scorer: Executor, scoring: metrics.Scoring | None = None
-    ) -> Future[metrics.EvalReport]:
+        self, policy: str, scoring: metrics.Scoring | None = None
+    ) -> metrics.EvalReport:
         """Stage 5: score the hypotheses of `translate(policy)` against the
         test targets.
 
-        The translation and the reference are pulled on the calling thread;
-        the `evaluate.<policy>` stage runs on `scorer`, and the returned
-        future holds its report. `scoring` is the run's line-pair counting
-        (a fresh one if None). Scoring sends no backend request.
+        `scoring` is the run's line-pair counting (a fresh one if None).
+        Scoring sends no backend request.
         """
-        self.translate(policy)
-        self._reference()
-        name, inputs, outputs = self._evaluation(policy)
-        hyp_path, ref_path = inputs["hypotheses"], inputs["reference"]
+        hyp_path, ref_path = self.translate(policy), self._reference()
+        report_path = self.run_dir / f"report.{policy}.json"
+        inputs = {"hypotheses": str(hyp_path), "reference": str(ref_path)}
+        vocab = metrics.subword_vocab(self.config.bleu_tokenizer)
+        if vocab is not None:
+            inputs["subword_vocab"] = vocab
 
         def build() -> None:
             report = self.evaluate(hyp_path, ref_path, system=policy, scoring=scoring)
-            _write_json(outputs[0], report.to_record())
+            _write_json(report_path, report.to_record())
 
-        def score() -> metrics.EvalReport:
-            self._stage(name, inputs, outputs, build)
-            return metrics.EvalReport.from_record(
-                json.loads(outputs[0].read_text(encoding="utf-8"))
-            )
-
-        return scorer.submit(score)
+        self._stage(f"evaluate.{policy}", inputs, [report_path], build)
+        return metrics.EvalReport.from_record(
+            json.loads(report_path.read_text(encoding="utf-8"))
+        )
 
     # --------------------------------------------------------------- run-all
 
@@ -584,31 +515,14 @@ class Pipeline:
         """Translate and score `policies` (default: the config's), in order,
         and write `report.txt`.
 
-        Each policy is scored on one scorer thread while the next one
-        translates here, through one `metrics.Scoring` for the whole run.
-        Worker processes fork only when some evaluation is not current as
-        the run starts; an evaluation that a stale translation makes stale
-        later is counted inline. Before each translation, the error of a
-        scoring that has already failed is raised; on any error the pending
-        scorings are cancelled, and the one running is waited for.
+        Every policy is scored through one `metrics.Scoring`, so a line
+        pair that several policies share is counted once.
         """
         selected = tuple(policies) if policies else self.config.effective_policies()
         for policy in selected:  # reject a policy before any stage runs
             self.config.policy(policy)
-        pool = _scoring_pool() if self._scoring_needed(selected) else None
-        scoring = metrics.Scoring(pool)
-        with pool or contextlib.nullcontext():
-            scorer = ThreadPoolExecutor(1, thread_name_prefix="scorer")
-            try:
-                futures: list[Future[metrics.EvalReport]] = []
-                for policy in selected:
-                    for future in futures:
-                        if future.done():
-                            future.result()  # raises a failed scoring's error
-                    futures.append(self.evaluate_policy(policy, scorer, scoring))
-                reports = [future.result() for future in futures]
-            finally:
-                scorer.shutdown(cancel_futures=True)
+        scoring = metrics.Scoring()
+        reports = [self.evaluate_policy(policy, scoring) for policy in selected]
         write_lines(
             self.run_dir / "report.txt", [report.row() for report in reports]
         )

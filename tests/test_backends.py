@@ -411,11 +411,23 @@ class TestGenerateEach:
         got = generate_each(llm, [bad, ok, bad, ok], max_workers=4)
         assert got == [[], [ScoredCompletion("OK", 0.0)]] * 2
         assert sorted(backend.calls) == ["bad", "ok"]
-        assert len(caplog.records) == 1 and "rejected bad" in caplog.text
+        failures = [r for r in caplog.records if "rejected bad" in r.getMessage()]
+        assert len(failures) == 1  # the distinct failure, logged once
         assert llm.cached(ok) and not llm.cached(bad)
         # a second call gets the success from the cache and sends the failure again
         generate_each(llm, [bad, ok], max_workers=4)
         assert sorted(backend.calls) == ["bad", "bad", "ok"]
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_partial_failure_is_summed_up_once(self, caplog, max_workers):
+        bad, ok, fine = (GenerationRequest(prompt=p) for p in ("bad", "ok", "fine"))
+        generate_each(self.Failing(), [ok, fine], max_workers, "lines")
+        assert caplog.records == []
+        generate_each(self.Failing(), [bad, ok, bad, fine], max_workers, "lines")
+        summaries = [r.getMessage() for r in caplog.records if "/4 lines" in r.getMessage()]
+        assert summaries == [
+            "2/4 lines failed (1 distinct; BackendRejected: 2); their outputs are empty"
+        ]
 
 
 class TestFixtureEmbedding:

@@ -345,22 +345,21 @@ class TestRunLock:
             assert lock.read_text() == str(os.getpid())
         assert not lock.exists()
 
-    def test_forked_worker_does_not_keep_lock(self, tmp_path):
+    def test_subprocess_does_not_keep_lock(self, tmp_path):
         config = load_config(
             TOY_INI,
             {"output_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "c")},
         )
         pipeline = Pipeline(config)
-        # the child takes the lock, forks a scoring worker as run_all does,
-        # and is killed; the orphaned worker stays alive, blocked on its queue
+        # the child takes the lock, starts a process that outlives it and
+        # inherits every inheritable descriptor, and is killed
         script = (
-            "import multiprocessing, os, sys\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
+            "import os, subprocess, sys\n"
             "from pathlib import Path\n"
             "from icl_miner.pipeline import RunLock\n"
             "RunLock(Path(sys.argv[1])).__enter__()\n"
-            "pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context('fork'))\n"
-            "print(pool.submit(os.getpid).result(), flush=True)\n"
+            "sleeper = [sys.executable, '-c', 'import time; time.sleep(60)']\n"
+            "print(subprocess.Popen(sleeper, close_fds=False).pid, flush=True)\n"
             "os._exit(137)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(TOY.parent.parent / "src")}
@@ -371,34 +370,14 @@ class TestRunLock:
             text=True,
         )
         with child.stdout:
-            worker = int(child.stdout.readline())
+            sleeper = int(child.stdout.readline())
         try:
             assert child.wait(timeout=60) == 137
-            os.kill(worker, 0)  # still alive
+            os.kill(sleeper, 0)  # still alive
             with RunLock(pipeline.run_dir):
                 assert (pipeline.run_dir / ".lock").read_text() == str(os.getpid())
         finally:
-            os.kill(worker, signal.SIGKILL)
-
-    def test_forked_child_leaving_lock_keeps_it(self, tmp_path):
-        config = load_config(
-            TOY_INI,
-            {"output_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "c")},
-        )
-        pipeline = Pipeline(config)
-        with RunLock(pipeline.run_dir) as held:
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    held.__exit__(None, None, None)
-                finally:
-                    os._exit(0)
-            assert os.waitpid(pid, 0)[1] == 0
-            assert (pipeline.run_dir / ".lock").read_text() == str(os.getpid())
-            with pytest.raises(ConfigError, match="locked"):
-                with RunLock(pipeline.run_dir):
-                    pass
-        assert not (pipeline.run_dir / ".lock").exists()
+            os.kill(sleeper, signal.SIGKILL)
 
     def test_unheld_lock_file_taken_over(self, tmp_path):
         config = load_config(

@@ -1,13 +1,10 @@
 from __future__ import annotations
 
 import math
-import multiprocessing
 import random
 import sys
 import unicodedata
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -372,40 +369,19 @@ def test_no_alphanumeric_code_point_is_punctuation():
 
 
 # ---------------------------------------------------------------------------
-# line-pair counting: each distinct pair once per Scoring, new pairs in
-# contiguous chunks over a process pool, integer rows summed
+# line-pair counting: each distinct pair once per Scoring, integer rows
+# summed
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def pool():
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(2, mp_context=context) as executor:
-        executor.submit(int).result()  # the workers start with the fixture
-        yield executor
-
-
-class RecordingPool:
-    """Passes work to a pool and records the size of each chunk sent."""
-
-    def __init__(self, pool):
-        self.pool = pool
-        self.chunk_sizes: list[int] = []
-
-    def submit(self, fn, pairs, *args):
-        self.chunk_sizes.append(len(pairs))
-        return self.pool.submit(fn, pairs, *args)
 
 
 @given(
     MIXED_CORPUS,
-    st.integers(min_value=1, max_value=8),
     st.integers(min_value=1, max_value=7),
     st.sampled_from(["none", "epsilon", "exp"]),
     st.sampled_from(["whitespace", "char"]),
 )
-def test_scores_with_pool_equal_scores_without(
-    pool, corpus, chunks, char_max, smoothing, tokenizer
+def test_scores_through_one_scoring_equal_the_oracle(
+    corpus, char_max, smoothing, tokenizer
 ):
     half = len(corpus) // 2
     hyps, refs = corpus[:half], corpus[half : 2 * half]
@@ -413,61 +389,25 @@ def test_scores_with_pool_equal_scores_without(
     hyps2, refs2 = hyps[::-1] + corpus[:1], refs[::-1] + corpus[-1:]
     chrf_config = ChrfConfig(char_ngram_max=char_max)
     bleu_config = BleuConfig(smoothing=smoothing, tokenizer=tokenizer)
-    with mock.patch.object(metrics, "usable_cpus", lambda: chunks):
-        for scoring in (metrics.Scoring(), metrics.Scoring(pool)):
-            for h, r in ((hyps, refs), (hyps2, refs2)):
-                assert chrf_pp(h, r, chrf_config, scoring=scoring) == oracle_chrf_pp(
-                    h, r, chrf_config
-                )
-                assert bleu(h, r, bleu_config, scoring=scoring) == oracle_bleu(
-                    h, r, bleu_config
-                )
+    scoring = metrics.Scoring()
+    for h, r in ((hyps, refs), (hyps2, refs2)):
+        assert chrf_pp(h, r, chrf_config, scoring=scoring) == oracle_chrf_pp(
+            h, r, chrf_config
+        )
+        assert bleu(h, r, bleu_config, scoring=scoring) == oracle_bleu(
+            h, r, bleu_config
+        )
 
 
-@pytest.mark.parametrize(
-    "hyps, refs, chunks, sent",
-    [
-        # more chunks than lines: one line per chunk, every one sent
-        (["a b c", "abd x", "c d"], ["abc", "abd y", "d c"], 5, [1, 1, 1]),
-        (["the cat sat"], ["the cat sat down"], 4, [1]),
-        (["", "", "cat"], ["the cat", "a dog", "cat"], 2, [1, 2]),
-        (["", ""], ["the cat", "a dog"], 3, [1, 1]),
-        (["a", "b", "c", "d", "e", "f", "g"], list("gfedcba"), 3, [2, 2, 3]),
-        # three distinct pairs among five lines: each is sent once
-        (["a", "b", "a", "a", "b"], ["x", "y", "x", "z", "y"], 2, [1, 2]),
-    ],
-    ids=["fewer-lines-than-chunks", "one-line", "empty-hypotheses",
-         "only-empty-hypotheses", "uneven-chunks", "repeated-pairs"],
-)
-def test_pool_scores_contiguous_chunks(pool, hyps, refs, chunks, sent):
-    recording = RecordingPool(pool)
-    scoring = metrics.Scoring(recording)
-    with mock.patch.object(metrics, "usable_cpus", lambda: chunks):
-        assert chrf_pp(hyps, refs, scoring=scoring) == chrf_pp(hyps, refs)
-        assert bleu(hyps, refs, scoring=scoring) == bleu(hyps, refs)
-        # every pair is in the memo now: scoring again sends nothing
-        assert chrf_pp(hyps, refs, scoring=scoring) == chrf_pp(hyps, refs)
-    # every distinct pair went to the pool: this process counted nothing
-    assert sum(sent) == len(set(zip(hyps, refs)))
-    assert recording.chunk_sizes == sent * 2
+def test_a_second_corpus_counts_only_its_new_pairs(monkeypatch):
+    rows, counted = metrics._chrf_rows, []
 
+    def counting_rows(pairs, config):
+        counted.append(len(pairs))
+        return rows(pairs, config)
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
-def test_a_second_corpus_counts_only_its_new_pairs(pool, monkeypatch, pooled):
-    # one chunk per call, so the chunk sizes are the pairs sent per corpus
-    monkeypatch.setattr(metrics, "usable_cpus", lambda: 1)
-    if pooled:
-        recording = RecordingPool(pool)
-        scoring, counted = metrics.Scoring(recording), recording.chunk_sizes
-    else:
-        rows, counted = metrics._chrf_rows, []
-
-        def counting_rows(pairs, config):
-            counted.append(len(pairs))
-            return rows(pairs, config)
-
-        monkeypatch.setattr(metrics, "_chrf_rows", counting_rows)
-        scoring = metrics.Scoring()
+    monkeypatch.setattr(metrics, "_chrf_rows", counting_rows)
+    scoring = metrics.Scoring()
     first = (["a b", "c d", "a b", "e"], ["a b", "c x", "a b", "f"])
     second = (["c d", "a b", "g h", "g h"], ["c x", "a c", "g h", "g h"])
     for hyps, refs in (first, second):
@@ -493,15 +433,12 @@ def test_hypothesis_keeps_unicode_line_breaks(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def assert_chrf_equals_oracle(hyps, refs, config, pool):
+def assert_chrf_equals_oracle(hyps, refs, config):
     rows = metrics._chrf_rows(list(zip(hyps, refs)), config)
     for hyp, ref, row in zip(hyps, refs, rows):
         oracle = oracle_chrf_stats([hyp], [ref], config)
         assert list(row) == [value for entry in oracle for value in entry]
-    expected = oracle_chrf_pp(hyps, refs, config)
-    assert chrf_pp(hyps, refs, config) == expected
-    with mock.patch.object(metrics, "usable_cpus", lambda: 2):
-        assert chrf_pp(hyps, refs, config, scoring=metrics.Scoring(pool)) == expected
+    assert chrf_pp(hyps, refs, config) == oracle_chrf_pp(hyps, refs, config)
 
 
 @pytest.mark.parametrize(
@@ -513,10 +450,10 @@ def assert_chrf_equals_oracle(hyps, refs, config, pool):
         ("aba aba", "ababa"),
     ],
 )
-def test_repeated_char_grams_equal_bruteforce_oracle(pool, hyp, ref):
+def test_repeated_char_grams_equal_bruteforce_oracle(hyp, ref):
     config = ChrfConfig()
-    assert_chrf_equals_oracle([hyp, ref], [ref, hyp], config, pool)
-    assert_chrf_equals_oracle([hyp], [ref], config, pool)
+    assert_chrf_equals_oracle([hyp, ref], [ref, hyp], config)
+    assert_chrf_equals_oracle([hyp], [ref], config)
 
 
 # two letters and a space: most grams repeat, in both lines
@@ -527,15 +464,15 @@ AB_LINE = st.text(alphabet="ab ", max_size=40)
     st.lists(st.tuples(AB_LINE, AB_LINE), min_size=1, max_size=6),
     st.integers(min_value=1, max_value=7),
 )
-def test_two_letter_lines_equal_bruteforce_oracle(pool, pairs, char_max):
+def test_two_letter_lines_equal_bruteforce_oracle(pairs, char_max):
     hyps, refs = [hyp for hyp, _ in pairs], [ref for _, ref in pairs]
-    assert_chrf_equals_oracle(hyps, refs, ChrfConfig(char_ngram_max=char_max), pool)
+    assert_chrf_equals_oracle(hyps, refs, ChrfConfig(char_ngram_max=char_max))
 
 
-def test_long_line_equals_bruteforce_oracle(pool):
+def test_long_line_equals_bruteforce_oracle():
     rng = random.Random(7)
     words = ["aba", "ab", "ba", "aab", "bab", "abab", "c", "cab"]
     hyp = " ".join(rng.choice(words) for _ in range(700))
     ref = " ".join(rng.choice(words) for _ in range(700))
     assert len(hyp) > 2000 and len(ref) > 2000
-    assert_chrf_equals_oracle([hyp, "ab"], [ref, "abab"], ChrfConfig(), pool)
+    assert_chrf_equals_oracle([hyp, "ab"], [ref, "abab"], ChrfConfig())

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
-import multiprocessing
 import os
 import shutil
-import threading
 from collections import Counter
-from concurrent.futures import wait
 from pathlib import Path
 
 import pytest
@@ -18,7 +14,7 @@ from icl_miner import metrics, w2w, word_mining
 from icl_miner.backends import ScoredCompletion
 from icl_miner.config import load_config
 from icl_miner.errors import BackendError, BackendRejected, DataError
-from icl_miner.pipeline import Pipeline, _scoring_pool
+from icl_miner.pipeline import Pipeline
 
 
 def toy_pipeline(
@@ -251,145 +247,25 @@ def test_resume_rewrites_no_report(tmp_path, toy_dir, concurrency):
     } == before
 
 
-def test_scoring_pool_needs_two_cpus(monkeypatch):
-    monkeypatch.setattr(metrics, "usable_cpus", lambda: 1)
-    assert _scoring_pool() is None
-
-
-def test_scoring_workers_exit_with_run_all(tmp_path, toy_dir, monkeypatch):
-    # three workers, so the pool is used on a machine with one CPU too; all
-    # of them start before the first stage runs
-    monkeypatch.setattr(metrics, "usable_cpus", lambda: 3)
-    pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
-    pipeline.run_all()
-    assert multiprocessing.active_children() == []
-
-    # a stage that fails after the first evaluation has started the workers
-    pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path / "failing")
-    translate, alive = pipeline.translate, []
-
-    def failing_translate(policy):
-        if policy == "random":
-            alive.extend(multiprocessing.active_children())
-            raise DataError("injected")
-        return translate(policy)
-
-    pipeline.translate = failing_translate
-    with pytest.raises(DataError, match="injected"):
-        pipeline.run_all(["zero_shot", "random"])
-    assert len(alive) == 3
-    assert multiprocessing.active_children() == []
-
-
-def test_policy_is_scored_while_the_next_translates(tmp_path, toy_dir):
-    pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
-    translate, evaluate = pipeline.translate, pipeline.evaluate
-    second_translating = threading.Event()
-
-    def signalling_translate(policy):
-        if policy == "random":
-            second_translating.set()
-        return translate(policy)
-
-    def waiting_evaluate(hyp_path, ref_path, system="system", **kwargs):
-        # a serial run_all translates "random" only after this returns
-        if system == "zero_shot" and not second_translating.wait(timeout=10):
-            raise AssertionError("zero_shot was not scored while random translated")
-        return evaluate(hyp_path, ref_path, system, **kwargs)
-
-    pipeline.translate, pipeline.evaluate = signalling_translate, waiting_evaluate
-    reports = pipeline.run_all(["zero_shot", "random"])
-    assert [report.system for report in reports] == ["zero_shot", "random"]
-    golden = golden_lines(toy_dir, "report.txt")  # zero_shot, uw2w, random, ...
-    assert lines(pipeline.run_dir / "report.txt") == [golden[0], golden[2]]
-
-
 def test_scoring_error_stops_the_run_before_the_next_translation(tmp_path, toy_dir):
     pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
-    translate, evaluate_policy = pipeline.translate, pipeline.evaluate_policy
-    translated, scorings = [], []
-    second_translating = threading.Event()
+    translate, translated = pipeline.translate, []
 
-    def failing_evaluate(*args, **kwargs):
-        second_translating.wait(timeout=10)
-        raise DataError("injected scoring error")
-
-    def recording_evaluate_policy(policy, *args, **kwargs):
-        scorings.append(evaluate_policy(policy, *args, **kwargs))
-        return scorings[-1]
-
-    def waiting_translate(policy):
+    def recording_translate(policy):
         translated.append(policy)
-        if policy == "random":  # the scoring of zero_shot fails meanwhile
-            second_translating.set()
-            done, _ = wait(scorings, timeout=10)
-            assert done == set(scorings)
         return translate(policy)
 
-    pipeline.evaluate = failing_evaluate
-    pipeline.evaluate_policy = recording_evaluate_policy
-    pipeline.translate = waiting_translate
+    def failing_evaluate(*args, **kwargs):
+        raise DataError("injected scoring error")
+
+    pipeline.translate, pipeline.evaluate = recording_translate, failing_evaluate
     with pytest.raises(DataError, match="injected scoring error"):
         pipeline.run_all(["zero_shot", "random", "topk"])
-    assert translated == ["zero_shot", "random"]
+    assert translated == ["zero_shot"]
     assert not (pipeline.run_dir / "report.zero_shot.json").exists()
-    assert multiprocessing.active_children() == []
 
 
-@contextlib.contextmanager
-def counting_forks():
-    """The forks this process makes inside the block: the number of threads
-    the process has at each."""
-    forks, recording = [], [True]
-    os.register_at_fork(  # stays registered: `recording` switches it off
-        before=lambda: recording and forks.append(threading.active_count())
-    )
-    try:
-        yield forks
-    finally:
-        recording.clear()
-
-
-def test_scoring_workers_fork_while_the_process_has_one_thread(
-    tmp_path, toy_dir, monkeypatch
-):
-    # a fork copies only the forking thread: a lock another thread holds
-    # would stay locked in the worker
-    monkeypatch.setattr(metrics, "usable_cpus", lambda: 3)
-    with counting_forks() as threads_at_fork:
-        toy_pipeline(toy_dir / "toy.ini", tmp_path, concurrency=8).run_all()
-    assert threads_at_fork == [1, 1, 1]
-
-
-def report_files(run_dir: Path) -> dict[str, bytes]:
-    return {path.name: path.read_bytes() for path in run_dir.glob("report.*")}
-
-
-def test_resume_forks_no_scoring_worker(tmp_path, toy_dir, monkeypatch):
-    monkeypatch.setattr(metrics, "usable_cpus", lambda: 3)
-    ini = toy_dir / "toy.ini"
-    with counting_forks() as forks:
-        expected = toy_pipeline(ini, tmp_path).run_all()
-        assert len(forks) == 3
-        run_dir = toy_pipeline(ini, tmp_path).run_dir
-        reports = report_files(run_dir)
-        # every evaluation is current: nothing to score, so no worker
-        assert toy_pipeline(ini, tmp_path).run_all() == expected
-        assert len(forks) == 3
-        assert report_files(run_dir) == reports
-
-        # one stale evaluation is enough to fork the workers
-        (run_dir / "report.topk.json").unlink()
-        assert toy_pipeline(ini, tmp_path).run_all() == expected
-        assert len(forks) == 6
-    assert report_files(run_dir) == reports
-    assert multiprocessing.active_children() == []
-
-
-def test_evaluation_made_stale_by_a_translation_is_scored_inline(
-    tmp_path, toy_dir, monkeypatch
-):
-    monkeypatch.setattr(metrics, "usable_cpus", lambda: 3)
+def test_evaluation_made_stale_by_a_translation_is_scored_inline(tmp_path, toy_dir):
     data = tmp_path / "toy"
     shutil.copytree(toy_dir, data, ignore=shutil.ignore_patterns("golden"))
     pipeline = toy_pipeline(data / "toy.ini", tmp_path)
@@ -400,9 +276,7 @@ def test_evaluation_made_stale_by_a_translation_is_scored_inline(
 
     # as the run starts, every evaluation is current on disk; the edited
     # target then rewrites the reference, and every policy is scored again
-    with counting_forks() as forks:
-        reports = toy_pipeline(data / "toy.ini", tmp_path).run_all()
-    assert forks == []
+    reports = toy_pipeline(data / "toy.ini", tmp_path).run_all()
     ref = pipeline.run_dir / "test.ref.txt"
     assert lines(ref)[0].endswith(" ak")
     for report in reports:
@@ -410,20 +284,7 @@ def test_evaluation_made_stale_by_a_translation_is_scored_inline(
         assert report == pipeline.evaluate(hyp, ref, report.system)
 
 
-def test_golden_reports_without_a_pool(tmp_path, toy_dir, monkeypatch):
-    # one CPU: no worker forks, and every line pair is counted inline
-    monkeypatch.setattr(metrics, "usable_cpus", lambda: 1)
-    with counting_forks() as forks:
-        pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path)
-        pipeline.run_all()
-    assert forks == []
-    golden = report_files(next((toy_dir / "golden").glob("run-*")))
-    assert len(golden) == 15  # a report and its manifest per policy, and report.txt
-    assert report_files(pipeline.run_dir) == golden
-
-
 def test_run_all_counts_each_distinct_line_pair_once(tmp_path, toy_dir, monkeypatch):
-    monkeypatch.setattr(metrics, "usable_cpus", lambda: 1)
     counted = Counter()
 
     def counting(metric, rows):
