@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from icl_miner.backends import CachingLLM, ResponseCache, ScoredCompletion
+from icl_miner.backends import ScoredCompletion
 from icl_miner.backends.base import finalize_completions
 from icl_miner.config import load_config
 from icl_miner.pipeline import Pipeline
@@ -251,7 +251,7 @@ def record_fixture() -> None:
         )
         pipeline = Pipeline(config)
         rule_backend = RuleBackend(model_id=config.model or "toy")
-        pipeline.llm = CachingLLM(rule_backend, ResponseCache(f"{scratch}/cache"))
+        pipeline.llm.backend = rule_backend
         pipeline.run_all()
 
     with fixture_path.open("w", encoding="utf-8", newline="\n") as fh:

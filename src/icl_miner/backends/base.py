@@ -8,7 +8,7 @@ import math
 import operator
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from ..errors import BackendError

@@ -32,48 +32,11 @@ RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 0.5
 
 
-def _post_with_retries(
-    url: str, payload: dict, headers: dict, timeout: float
-) -> dict:
-    import requests  # loaded by the backend's constructor
+class _HttpBackend:
+    """One model behind an OpenAI-compatible endpoint: its URL, timeout and
+    API key (by default from `ICL_MINER_API_KEY`)."""
 
-    last_error: Exception | None = None
-    for attempt in range(RETRY_ATTEMPTS):
-        try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-            if response.status_code >= 500:
-                raise BackendError(
-                    f"{url} returned {response.status_code}: {response.text[:200]}"
-                )
-            if response.status_code >= 400:
-                raise BackendRejected(
-                    f"{url} rejected request ({response.status_code}): "
-                    f"{response.text[:200]}"
-                )
-            return response.json()
-        except BackendRejected:
-            raise
-        except (BackendError, requests.RequestException, ValueError) as exc:
-            last_error = exc
-        if attempt < RETRY_ATTEMPTS - 1:
-            delay = RETRY_BASE_DELAY * (2**attempt)
-            log.warning("retrying %s in %.1fs after: %s", url, delay, last_error)
-            time.sleep(delay)
-    raise BackendError(
-        f"{url} failed after {RETRY_ATTEMPTS} attempts: {last_error}"
-    ) from last_error
-
-
-def _headers(api_key: str | None) -> dict:
-    """JSON request headers, with a bearer token when there is a key."""
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    return headers
-
-
-class HttpLLMBackend:
-    backend_id = "http"
+    _what = "HTTP backend"
 
     def __init__(
         self,
@@ -83,13 +46,54 @@ class HttpLLMBackend:
         api_key: str | None = None,
     ):
         if not base_url:
-            raise BackendError("HTTP backend needs a base URL")
+            raise BackendError(f"{self._what} needs a base URL")
         import requests  # noqa: F401  # set-up pays for the import, not the first request
 
         self.base_url = base_url.rstrip("/")
         self.model_id = model
         self.timeout = timeout
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+
+    def _post(self, path: str, payload: dict) -> dict:
+        """POST JSON to `<base_url>/<path>`, with a bearer token when there
+        is a key, retrying as the module describes."""
+        import requests  # loaded by the constructor
+
+        url = f"{self.base_url}/{path}"
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        last_error: Exception | None = None
+        for attempt in range(RETRY_ATTEMPTS):
+            try:
+                response = requests.post(
+                    url, json=payload, headers=headers, timeout=self.timeout
+                )
+                if response.status_code >= 500:
+                    raise BackendError(
+                        f"{url} returned {response.status_code}: {response.text[:200]}"
+                    )
+                if response.status_code >= 400:
+                    raise BackendRejected(
+                        f"{url} rejected request ({response.status_code}): "
+                        f"{response.text[:200]}"
+                    )
+                return response.json()
+            except BackendRejected:
+                raise
+            except (BackendError, requests.RequestException, ValueError) as exc:
+                last_error = exc
+            if attempt < RETRY_ATTEMPTS - 1:
+                delay = RETRY_BASE_DELAY * (2**attempt)
+                log.warning("retrying %s in %.1fs after: %s", url, delay, last_error)
+                time.sleep(delay)
+        raise BackendError(
+            f"{url} failed after {RETRY_ATTEMPTS} attempts: {last_error}"
+        ) from last_error
+
+
+class HttpLLMBackend(_HttpBackend):
+    backend_id = "http"
 
     def generate(self, request: GenerationRequest) -> list[ScoredCompletion]:
         payload: dict = {
@@ -114,12 +118,7 @@ class HttpLLMBackend:
         if request.stop.substrings:
             payload["stop"] = list(request.stop.substrings)
 
-        body = _post_with_retries(
-            f"{self.base_url}/completions",
-            payload,
-            _headers(self.api_key),
-            self.timeout,
-        )
+        body = self._post("completions", payload)
         choices = body.get("choices")
         if not isinstance(choices, list):
             raise BackendError(f"malformed completions response: {body!r}")
@@ -135,34 +134,14 @@ class HttpLLMBackend:
         return finalize_completions(raw, request)
 
 
-class HttpEmbeddingBackend:
+class HttpEmbeddingBackend(_HttpBackend):
     backend_id = "http-embed"
-
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        timeout: float = 60.0,
-        api_key: str | None = None,
-    ):
-        if not base_url:
-            raise BackendError("HTTP embedding backend needs a base URL")
-        import requests  # noqa: F401  # set-up pays for the import, not the first request
-
-        self.base_url = base_url.rstrip("/")
-        self.model_id = model
-        self.timeout = timeout
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+    _what = "HTTP embedding backend"
 
     def embed(self, text: str) -> EmbeddingVector:
         if not text:
             raise BackendError("cannot embed empty text")
-        body = _post_with_retries(
-            f"{self.base_url}/embeddings",
-            {"model": self.model_id, "input": [text]},
-            _headers(self.api_key),
-            self.timeout,
-        )
+        body = self._post("embeddings", {"model": self.model_id, "input": [text]})
         try:
             vector = body["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:

@@ -29,12 +29,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DataError
-from .tokens import word_tokens
+from .tokens import segment
 
 
 def tokenize(text: str) -> list[str]:
     """Casefolded Unicode word tokens; punctuation dropped."""
-    return word_tokens(text, casefold=True)
+    return [token.casefold() for token, is_word in segment(text) if is_word]
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ class Vocabulary:
     Words are stored normalized (NFC + casefold), deduplicated, in file order.
     """
 
-    language: LanguageSpec
     words: tuple[str, ...]
     _members: frozenset[str] = field(init=False, repr=False, compare=False)
 
@@ -82,9 +81,7 @@ def _read_lines(path: str | Path) -> list[str]:
     return text.splitlines()
 
 
-def load_vocabulary(
-    path: str | Path, language: LanguageSpec, max_size: int
-) -> Vocabulary:
+def load_vocabulary(path: str | Path, max_size: int) -> Vocabulary:
     """Load the first max_size distinct normalized tokens from a word list.
 
     Lines containing internal whitespace are rejected with a warning; an
@@ -111,7 +108,7 @@ def load_vocabulary(
             break
     if not words:
         raise DataError(f"empty vocabulary: {path}")
-    return Vocabulary(language=language, words=tuple(words))
+    return Vocabulary(words=tuple(words))
 
 
 def load_monolingual(path: str | Path) -> tuple[str, ...]:

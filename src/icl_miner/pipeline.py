@@ -40,7 +40,6 @@ from .backends import (
     SimilarityScorer,
     TrigramHashEmbedder,
 )
-from .backends.base import generate_each
 from .config import PipelineConfig, Policy
 from .corpus import (
     LanguageSpec,
@@ -51,7 +50,7 @@ from .corpus import (
     write_lines,
 )
 from .errors import ConfigError
-from .prompts import PromptTemplates, sentence_request
+from .prompts import PromptTemplates, Translator
 from .sentence_mining import MinedPool, SentencePair
 
 log = logging.getLogger(__name__)
@@ -130,22 +129,21 @@ class Pipeline:
         config.validate()
         self.config = config
         self.run_dir = Path(config.output_dir) / f"run-{config.run_hash()}"
-        self.source_lang = LanguageSpec.from_code(
-            config.source_code, config.source_name or None
-        )
-        self.target_lang = LanguageSpec.from_code(
-            config.target_code, config.target_name or None
-        )
-        self.templates = PromptTemplates(
-            word_zero_shot=config.word_zero_shot_template
-            or PromptTemplates.word_zero_shot,
-            word_shot_header=config.word_shot_header_template
-            or PromptTemplates.word_shot_header,
-            sentence_header=config.sentence_header_template
-            or PromptTemplates.sentence_header,
-        )
+        source = LanguageSpec.from_code(config.source_code, config.source_name or None)
+        target = LanguageSpec.from_code(config.target_code, config.target_name or None)
         cache = ResponseCache(config.cache_dir)
         self.llm = CachingLLM(self._make_llm(), cache)
+        templates = PromptTemplates(
+            config.word_zero_shot_template or PromptTemplates.word_zero_shot,
+            config.word_shot_header_template or PromptTemplates.word_shot_header,
+            config.sentence_header_template or PromptTemplates.sentence_header,
+        )
+        decoding = (DecodingMode.beam(config.beam_width)
+                    if config.sentence_decoding == "beam" else DecodingMode.greedy())
+        self.translator = Translator(
+            self.llm, source, target, templates, config.max_word_tokens,
+            config.max_sentence_tokens, decoding, config.concurrency,
+        )
         self.embedder = CachingEmbedder(self._make_embedder(), cache)
         self.scorer = SimilarityScorer(self.embedder, max_workers=config.concurrency)
         self._mining_config = word_mining.MiningConfig(
@@ -153,11 +151,8 @@ class Pipeline:
             k_wp=config.k_wp,
             temperature=config.temperature,
             seed=config.seed,
-            max_word_tokens=config.max_word_tokens,
-            templates=self.templates,
         )
         self._resolved: set[str] = set()  # stages found current or built
-        self._current: dict[str, dict] = {}  # manifests found current on disk
 
     # ------------------------------------------------------------- wiring
 
@@ -178,11 +173,6 @@ class Pipeline:
             cfg.embedding_model or cfg.model,
         )
 
-    def _sentence_decoding(self) -> DecodingMode:
-        if self.config.sentence_decoding == "beam":
-            return DecodingMode.beam(self.config.beam_width)
-        return DecodingMode.greedy()
-
     # -------------------------------------------------------------- stages
 
     @staticmethod
@@ -202,9 +192,7 @@ class Pipeline:
         the outputs now on disk; a missing output, a missing manifest or one
         that is not valid JSON is not current. Writes need no temp file and
         rename: a half-written artifact or manifest never matches the
-        recorded hashes, so the stage runs again. A stage found current is
-        found so again without a look at the disk while its inputs hash the
-        same: nothing else writes the run directory.
+        recorded hashes, so the stage runs again.
         """
         manifest_path = self._manifest_path(outputs)
         manifest = {
@@ -214,8 +202,6 @@ class Pipeline:
             "backend": {"id": self.llm.backend_id, "model": self.llm.model_id},
             "seed": self.config.seed,
         }
-        if self._current.get(name) == manifest:
-            return None
         if manifest_path.exists() and all(path.exists() for path in outputs):
             try:
                 recorded = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -223,13 +209,11 @@ class Pipeline:
                 recorded = None
             current = {path.name: _sha256_file(path) for path in outputs}
             if recorded == {**manifest, "outputs": current}:
-                self._current[name] = manifest
                 return None
         return manifest
 
     def _record(self, manifest: dict, outputs: Sequence[Path]) -> None:
         """Write the manifest of a built stage, with its outputs' hashes."""
-        self._current.pop(manifest["stage"], None)
         manifest["outputs"] = {path.name: _sha256_file(path) for path in outputs}
         _write_json(self._manifest_path(outputs), manifest)
 
@@ -263,9 +247,9 @@ class Pipeline:
 
         def build() -> None:
             pairs = word_mining.mine_lexicon(
-                load_vocabulary(cfg.source_vocab, self.source_lang, cfg.vocab_size),
-                load_vocabulary(cfg.target_vocab, self.target_lang, cfg.vocab_size),
-                self._mining_config, self.llm, self.scorer, cfg.concurrency,
+                load_vocabulary(cfg.source_vocab, cfg.vocab_size),
+                load_vocabulary(cfg.target_vocab, cfg.vocab_size),
+                self._mining_config, self.translator, self.scorer,
             )
             word_mining.write_lexicon(lexicon_path, pairs)
             log.info("mined %d word pairs -> %s", len(pairs), lexicon_path)
@@ -284,9 +268,7 @@ class Pipeline:
         def build() -> None:
             shots = word_mining.read_lexicon(lexicon_path)
             corpus = w2w.build_w2w(
-                load_monolingual(source_path), shots, self.llm, self.source_lang,
-                self.target_lang, self.templates, cfg.max_word_tokens,
-                max_workers=cfg.concurrency,
+                load_monolingual(source_path), shots, self.translator
             )
             w2w.write_w2w(w2w_path, corpus)
 
@@ -304,19 +286,8 @@ class Pipeline:
             d_u = load_monolingual(cfg.unlabeled)
             corpus = w2w.read_w2w(w2w_path)
             pool = sentence_mining.mine_examples(
-                d_u,
-                corpus,
-                cfg.k,
-                self.llm,
-                self.scorer,
-                self.source_lang,
-                self.target_lang,
-                iterations=cfg.iterations,
-                shot_strategy=cfg.shot_strategy,
-                templates=self.templates,
-                decoding=self._sentence_decoding(),
-                max_sentence_tokens=cfg.max_sentence_tokens,
-                max_workers=cfg.concurrency,
+                d_u, corpus, cfg.k, self.translator, self.scorer,
+                cfg.iterations, cfg.shot_strategy,
             )
             sentence_mining.write_pool(pool_path, pool)
             log.info("mined pool of %d pairs (<= %d unlabeled)", len(pool), len(d_u))
@@ -430,25 +401,12 @@ class Pipeline:
                 if missing:  # w2w_source names another corpus
                     rendered.update(w2w.build_w2w(
                         missing, word_mining.read_lexicon(inputs["lexicon"]),
-                        self.llm, self.source_lang, self.target_lang,
-                        self.templates, cfg.max_word_tokens,
-                        max_workers=cfg.concurrency,
+                        self.translator,
                     ).pairs)
                 hypotheses = [rendered[source] for source in sources]
             else:
                 shot_lists, audit_records = self._selections(policy, spec, sources)
-                decoding = self._sentence_decoding()
-                requests = [
-                    sentence_request(
-                        source, self.source_lang, self.target_lang, shots,
-                        self.templates, decoding, cfg.max_sentence_tokens,
-                    )
-                    for source, shots in zip(sources, shot_lists)
-                ]
-                results = generate_each(
-                    self.llm, requests, cfg.concurrency, "translations"
-                )
-                hypotheses = [c[0].text if c else "" for c in results]
+                hypotheses = self.translator.sentences(sources, shot_lists)
                 if writes_audit:
                     write_jsonl(audit_path, audit_records)
             write_lines(hyp_path, hypotheses)
@@ -464,8 +422,8 @@ class Pipeline:
         return metrics.evaluate_corpus(
             hyp_path,
             ref_path,
-            self.source_lang.code,
-            self.target_lang.code,
+            self.translator.src.code,
+            self.translator.trg.code,
             system=system,
             chrf_config=self.config.chrf_config(),
             bleu_config=self.config.bleu_config(),

@@ -1,17 +1,27 @@
-"""Prompt rendering for word- and sentence-level translation requests.
+"""Prompt rendering and the one sender of every LLM request.
 
 Shots are rendered in the order given; callers decide whether the best
-example sits first or last (next to the query). `word_request` and
-`sentence_request` build the one request shape of each kind that the
-pipeline sends.
+example sits first or last (next to the query). A `Translator` holds what
+a request needs for one language pair in one direction (the backend, the
+languages, the templates, the token limits, the sentence decoding and the
+requests in flight) and sends its word and sentence requests through
+`generate_each`, the failure policy of every fan-out; `reverse()` gives
+the same translator in the other direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .backends.base import DecodingMode, GenerationRequest, StopCondition
+from .backends.base import (
+    DecodingMode,
+    GenerationRequest,
+    LLMBackend,
+    ScoredCompletion,
+    StopCondition,
+    generate_each,
+)
 from .corpus import LanguageSpec
 
 
@@ -66,44 +76,81 @@ def sentence_translation_prompt(
     return "\n".join(parts)
 
 
-def word_request(
-    word: str,
-    src: LanguageSpec,
-    trg: LanguageSpec,
-    shots: Sequence[tuple[str, str]],
-    templates: PromptTemplates,
-    max_new_tokens: int,
-    mode: DecodingMode = DecodingMode.greedy(),
-    num_samples: int = 1,
-) -> GenerationRequest:
-    """Translate one word from `src` to `trg`, stopping at whitespace."""
-    return GenerationRequest(
-        prompt=word_translation_prompt(
-            word, src.display_name, trg.display_name, shots, templates
-        ),
-        num_samples=num_samples,
-        mode=mode,
-        stop=StopCondition.whitespace(),
-        max_new_tokens=max_new_tokens,
-    )
+@dataclass(frozen=True)
+class Translator:
+    """Builds and sends the word and sentence requests from `src` to `trg`.
 
+    Word requests stop at whitespace after at most `max_word_tokens`;
+    sentence requests stop at a line break after at most
+    `max_sentence_tokens`, decoded with `decoding`. Failures follow
+    `generate_each`, with up to `max_workers` requests in flight.
+    """
 
-def sentence_request(
-    sentence: str,
-    src: LanguageSpec,
-    trg: LanguageSpec,
-    shots: Sequence[tuple[str, str]],
-    templates: PromptTemplates,
-    mode: DecodingMode,
-    max_new_tokens: int,
-) -> GenerationRequest:
-    """Translate one sentence from `src` to `trg`, stopping at a line break."""
-    return GenerationRequest(
-        prompt=sentence_translation_prompt(
-            sentence, src.display_name, trg.display_name, shots, templates
-        ),
-        num_samples=1,
-        mode=mode,
-        stop=StopCondition.at("\n"),
-        max_new_tokens=max_new_tokens,
-    )
+    llm: LLMBackend
+    src: LanguageSpec
+    trg: LanguageSpec
+    templates: PromptTemplates = PromptTemplates()
+    max_word_tokens: int = 8
+    max_sentence_tokens: int = 256
+    decoding: DecodingMode = DecodingMode.greedy()
+    max_workers: int = 1
+
+    def reverse(self) -> "Translator":
+        """This translator from `trg` to `src`."""
+        return replace(self, src=self.trg, trg=self.src)
+
+    def words(
+        self,
+        words: Sequence[str],
+        shots: Sequence[tuple[str, str]] = (),
+        mode: DecodingMode = DecodingMode.greedy(),
+        num_samples: int = 1,
+    ) -> list[list[ScoredCompletion]]:
+        """The completions of each word, in order; `[]` for a failed one."""
+        requests = [
+            GenerationRequest(
+                prompt=word_translation_prompt(
+                    word, self.src.display_name, self.trg.display_name,
+                    shots, self.templates,
+                ),
+                num_samples=num_samples,
+                mode=mode,
+                stop=StopCondition.whitespace(),
+                max_new_tokens=self.max_word_tokens,
+            )
+            for word in words
+        ]
+        return generate_each(
+            self.llm, requests, self.max_workers, "word translations"
+        )
+
+    def sentences(
+        self,
+        sentences: Sequence[str],
+        shot_lists: Sequence[Sequence[tuple[str, str]]],
+        what: str = "translations",
+    ) -> list[str]:
+        """The translation of each sentence with its shots, in order; `""`
+        for a failed one.
+
+        A prompt is rendered once per distinct (sentence, shots), but every
+        request is passed on, repeats included, so that the share of
+        failures counts lines.
+        """
+        request_of: dict[tuple, GenerationRequest] = {}
+        requests = []
+        for sentence, shots in zip(sentences, shot_lists, strict=True):
+            key = (sentence, tuple(shots))
+            if key not in request_of:
+                request_of[key] = GenerationRequest(
+                    prompt=sentence_translation_prompt(
+                        sentence, self.src.display_name, self.trg.display_name,
+                        shots, self.templates,
+                    ),
+                    mode=self.decoding,
+                    stop=StopCondition.at("\n"),
+                    max_new_tokens=self.max_sentence_tokens,
+                )
+            requests.append(request_of[key])
+        results = generate_each(self.llm, requests, self.max_workers, what)
+        return [completions[0].text if completions else "" for completions in results]

@@ -1,15 +1,16 @@
 """Phase 2: back-translate unlabeled sentences and select in-context examples.
 
 The unlabeled target-language corpus is translated back into the source
-language with the word-by-word renderings as in-context examples, giving a
-pool of pseudo-parallel pairs scored by cross-lingual embedding similarity.
-Three selectors pick examples from the pool: Random (first k, the
-reproducible convention), TopK (highest similarity), and TopK+BM25
-(similarity threshold filter, with a top-m fallback when the threshold
-leaves fewer than k candidates, then lexical BM25 ranking against the
-query). Only the BM25 ranking depends on the query: the similarity order
-is computed once per pool, and the filtered candidates and their BM25
-index once per pool and selection constants (`bm25_candidates`).
+language by the reversed `Translator`, with the word-by-word renderings as
+in-context examples, giving a pool of pseudo-parallel pairs scored by
+cross-lingual embedding similarity. Three selectors pick examples from the
+pool: Random (first k, the reproducible convention), TopK (highest
+similarity), and TopK+BM25 (similarity threshold filter, with a top-m
+fallback when the threshold leaves fewer than k candidates, then lexical
+BM25 ranking against the query). Only the BM25 ranking depends on the
+query: the similarity order is computed once per pool, and the filtered
+candidates and their BM25 index once per pool and selection constants
+(`bm25_candidates`).
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import bm25
-from .backends.base import DecodingMode, LLMBackend, SimilarityScorer, generate_each
-from .corpus import LanguageSpec, read_written_lines, write_jsonl
+from .backends.base import SimilarityScorer
+from .corpus import read_written_lines, write_jsonl
 from .errors import DataError
-from .prompts import PromptTemplates, sentence_request
+from .prompts import Translator
 from .w2w import W2wCorpus
 
 log = logging.getLogger(__name__)
@@ -109,17 +110,12 @@ def select_backtranslation_shots(
 def back_translate(
     d_u: Sequence[str],
     shots: Sequence[tuple[str, str]],
-    llm: LLMBackend,
+    translator: Translator,
     scorer: SimilarityScorer,
-    source_lang: LanguageSpec,
-    target_lang: LanguageSpec,
-    templates: PromptTemplates = PromptTemplates(),
-    decoding: DecodingMode = DecodingMode.greedy(),
-    max_sentence_tokens: int = 256,
-    max_workers: int = 1,
     iteration: int = 1,
 ) -> MinedPool:
-    """Translate each unlabeled target sentence into the source language.
+    """Translate each unlabeled target sentence into the source language
+    with the reverse of the source-to-target `translator`.
 
     Shots are (source, target) tuples oriented target -> source: each
     shows a target-language sentence, then its source-language rendering.
@@ -130,21 +126,14 @@ def back_translate(
     """
     if not len(d_u):
         raise DataError("unlabeled corpus is empty")
-    # one prompt per distinct sentence: a corpus may repeat sentences
-    request_of = {
-        sentence: sentence_request(
-            sentence, target_lang, source_lang, shots, templates,
-            decoding, max_sentence_tokens,
-        )
-        for sentence in dict.fromkeys(d_u)
-    }
-    requests = [request_of[sentence] for sentence in d_u]
-    results = generate_each(llm, requests, max_workers, "back-translations")
+    texts = translator.reverse().sentences(
+        d_u, [shots] * len(d_u), "back-translations"
+    )
     kept: list[tuple[str, str]] = []
     dropped: list[str] = []
-    for sentence, completions in zip(d_u, results):
-        if completions and completions[0].text:
-            kept.append((completions[0].text, sentence))
+    for sentence, text in zip(d_u, texts):
+        if text:
+            kept.append((text, sentence))
         else:
             dropped.append(sentence)
     _warn_pairs("no back-translation; dropped", dropped)
@@ -251,16 +240,10 @@ def mine_examples(
     d_u: Sequence[str],
     w2w: W2wCorpus,
     k: int,
-    llm: LLMBackend,
+    translator: Translator,
     scorer: SimilarityScorer,
-    source_lang: LanguageSpec,
-    target_lang: LanguageSpec,
     iterations: int = 1,
     shot_strategy: str = "first_k",
-    templates: PromptTemplates = PromptTemplates(),
-    decoding: DecodingMode = DecodingMode.greedy(),
-    max_sentence_tokens: int = 256,
-    max_workers: int = 1,
 ) -> MinedPool:
     """Run back-translation for one or more rounds and return the final pool.
 
@@ -273,19 +256,7 @@ def mine_examples(
     for iteration in range(1, iterations + 1):
         if iteration > 1:
             shots = [(p.target_text, p.source_text) for p in select_topk(pool, k)]
-        pool = back_translate(
-            d_u,
-            shots,
-            llm,
-            scorer,
-            source_lang,
-            target_lang,
-            templates,
-            decoding,
-            max_sentence_tokens,
-            max_workers,
-            iteration=iteration,
-        )
+        pool = back_translate(d_u, shots, translator, scorer, iteration)
     return pool
 
 

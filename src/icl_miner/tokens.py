@@ -35,11 +35,3 @@ def segment(text: str) -> list[tuple[str, bool]]:
             buf_is_word = is_word
         out.append(("".join(buf), buf_is_word))
     return out
-
-
-def word_tokens(text: str, casefold: bool = True) -> list[str]:
-    """Word tokens only, optionally casefolded; punctuation dropped."""
-    toks = [tok for tok, is_word in segment(text) if is_word]
-    if casefold:
-        toks = [t.casefold() for t in toks]
-    return toks

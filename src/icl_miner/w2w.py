@@ -1,14 +1,15 @@
 """Word-by-word translation: the weakly-annotated synthetic corpus builder.
 
-`build_w2w` segments each sentence once and sends one request per distinct
-translatable word (a word token that is not all digits), with the mined
-lexicon as in-context examples. The non-empty first completions form one
-word table, and each sentence is rendered by lookup in it. A token without
-an entry is copied through: punctuation, digits, and a word whose
-translation was empty or failed (dropping words would damage the
-back-translation shots built from these renderings). When more than half
-of the distinct words fail, `generate_each` aborts the build instead.
-Tokens are rejoined with single spaces, without detokenization.
+`build_w2w` segments each sentence once and has its `Translator` send one
+request per distinct translatable word (a word token that is not all
+digits), with the mined lexicon as in-context examples. The non-empty
+first completions form one word table, and each sentence is rendered by
+lookup in it. A token without an entry is copied through: punctuation,
+digits, and a word whose translation was empty or failed (dropping words
+would damage the back-translation shots built from these renderings). When
+more than half of the distinct words fail, `generate_each` aborts the
+build instead. Tokens are rejoined with single spaces, without
+detokenization.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .backends.base import LLMBackend, generate_each
-from .corpus import LanguageSpec, read_written_lines, write_jsonl
+from .corpus import read_written_lines, write_jsonl
 from .errors import DataError
-from .prompts import PromptTemplates, word_request
+from .prompts import Translator
 from .tokens import segment
 from .word_mining import WordPair
 
@@ -69,12 +69,7 @@ class W2wCorpus:
 def build_w2w(
     sentences: Sequence[str],
     shots: Sequence[WordPair],
-    llm: LLMBackend,
-    source_lang: LanguageSpec,
-    target_lang: LanguageSpec,
-    templates: PromptTemplates = PromptTemplates(),
-    max_word_tokens: int = 8,
-    max_workers: int = 1,
+    translator: Translator,
 ) -> W2wCorpus:
     """Render every sentence word-by-word; output aligns with the input."""
     if not sentences:
@@ -89,12 +84,7 @@ def build_w2w(
         for token, is_word in tokens
         if _translatable(token, is_word)
     ))
-    requests = [
-        word_request(word, source_lang, target_lang, shot_pairs, templates,
-                     max_word_tokens)
-        for word in words
-    ]
-    results = generate_each(llm, requests, max_workers, "word translations")
+    results = translator.words(words, shot_pairs)
     # keys are word tokens only, so no punctuation or digit token finds one
     table = {
         word: completions[0].text

@@ -2,10 +2,11 @@
 
 One round samples n candidate translations per source-vocabulary word
 (random sampling, stop at whitespace) and keeps the ones that land in the
-target vocabulary, greedily translates the distinct target candidates back,
-keeps only the round-trip pairs and ranks them by embedding similarity.
-`mine_lexicon` runs that round twice: zero-shot, then with the first
-round's selected pairs as in-context examples.
+target vocabulary, greedily translates the distinct target candidates back
+through the reversed `Translator`, keeps only the round-trip pairs and
+ranks them by embedding similarity. `mine_lexicon` runs that round twice:
+zero-shot, then with the first round's selected pairs as in-context
+examples.
 """
 
 from __future__ import annotations
@@ -16,16 +17,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .backends.base import (
-    DecodingMode,
-    GenerationRequest,
-    LLMBackend,
-    SimilarityScorer,
-    generate_each,
-)
+from .backends.base import DecodingMode, ScoredCompletion, SimilarityScorer
 from .corpus import Vocabulary, normalize_token
 from .errors import DataError
-from .prompts import PromptTemplates, word_request
+from .prompts import Translator
 
 log = logging.getLogger(__name__)
 
@@ -58,12 +53,10 @@ class MiningConfig:
     k_wp: int = 10
     temperature: float = 1.0
     seed: int = 0
-    max_word_tokens: int = 8
-    templates: PromptTemplates = PromptTemplates()
 
 
 def _filtered_candidates(
-    completions: Sequence, vocab: Vocabulary, limit: int
+    completions: Sequence[ScoredCompletion], vocab: Vocabulary, limit: int
 ) -> tuple[tuple[str, float], ...]:
     """Keep completions that normalize into the vocabulary, deduplicated.
 
@@ -85,14 +78,11 @@ def _filtered_candidates(
 
 def _translate_words(
     words: Sequence[str],
-    requests: Sequence[GenerationRequest],
+    results: Sequence[Sequence[ScoredCompletion]],
     filter_vocab: Vocabulary,
     limit: int,
-    llm: LLMBackend,
-    max_workers: int,
 ) -> Candidates:
     """The candidates of each word that has any; a failed word has none."""
-    results = generate_each(llm, requests, max_workers, "word translations")
     return {
         word: candidates
         for word, completions in zip(words, results)
@@ -104,47 +94,33 @@ def mine_forward(
     vocab_src: Vocabulary,
     vocab_tgt: Vocabulary,
     config: MiningConfig,
-    llm: LLMBackend,
+    translator: Translator,
     shots: Sequence[tuple[str, str]] = (),
-    max_workers: int = 1,
 ) -> Candidates:
     """Mine source-to-target candidates for every source-vocabulary word."""
     if not len(vocab_src):
         raise DataError("source vocabulary is empty")
-    src, trg = vocab_src.language, vocab_tgt.language
     mode = DecodingMode.random_sampling(config.temperature, config.seed)
-    requests = [
-        word_request(word, src, trg, shots, config.templates,
-                     config.max_word_tokens, mode, num_samples=config.n)
-        for word in vocab_src.words
-    ]
-    return _translate_words(
-        vocab_src.words, requests, vocab_tgt, config.n, llm, max_workers
-    )
+    results = translator.words(vocab_src.words, shots, mode, config.n)
+    return _translate_words(vocab_src.words, results, vocab_tgt, config.n)
 
 
 def mine_backward(
     forward: Candidates,
     vocab_src: Vocabulary,
-    vocab_tgt: Vocabulary,
-    config: MiningConfig,
-    llm: LLMBackend,
+    translator: Translator,
     shots: Sequence[tuple[str, str]] = (),
-    max_workers: int = 1,
 ) -> Candidates:
-    """Greedily back-translate the distinct forward candidates.
+    """Greedily back-translate the distinct forward candidates with the
+    reverse of the source-to-target `translator`.
 
     Shots, when given, must already be oriented target-to-source.
     """
     targets = list(dict.fromkeys(
         word for candidates in forward.values() for word, _ in candidates
     ))
-    requests = [
-        word_request(word, vocab_tgt.language, vocab_src.language, shots,
-                     config.templates, config.max_word_tokens)
-        for word in targets
-    ]
-    return _translate_words(targets, requests, vocab_src, 1, llm, max_workers)
+    results = translator.reverse().words(targets, shots)
+    return _translate_words(targets, results, vocab_src, 1)
 
 
 def consistency_filter(
@@ -197,18 +173,16 @@ def _mining_round(
     vocab_src: Vocabulary,
     vocab_tgt: Vocabulary,
     config: MiningConfig,
-    llm: LLMBackend,
+    translator: Translator,
     scorer: SimilarityScorer,
-    max_workers: int,
     seeds: Sequence[WordPair] = (),
 ) -> list[WordPair]:
     """One mining cycle, with `seeds` as in-context examples; [] if no pair
     survives the consistency filter."""
     shots = [pair.as_shot() for pair in seeds]
-    forward = mine_forward(vocab_src, vocab_tgt, config, llm, shots, max_workers)
+    forward = mine_forward(vocab_src, vocab_tgt, config, translator, shots)
     backward = mine_backward(
-        forward, vocab_src, vocab_tgt, config, llm,
-        [(t, s) for s, t in shots], max_workers,
+        forward, vocab_src, translator, [(t, s) for s, t in shots]
     )
     pairs = consistency_filter(
         forward, backward, provenance=K_SHOT if seeds else ZERO_SHOT
@@ -220,21 +194,18 @@ def mine_lexicon(
     vocab_src: Vocabulary,
     vocab_tgt: Vocabulary,
     config: MiningConfig,
-    llm: LLMBackend,
+    translator: Translator,
     scorer: SimilarityScorer,
-    max_workers: int = 1,
 ) -> list[WordPair]:
     """The selected pairs of a zero-shot round, refined by a k-shot round.
 
     A zero-shot round with no pairs is an error; a k-shot round with no
     pairs keeps the zero-shot ones.
     """
-    seeds = _mining_round(vocab_src, vocab_tgt, config, llm, scorer, max_workers)
+    seeds = _mining_round(vocab_src, vocab_tgt, config, translator, scorer)
     if not seeds:
         raise DataError("word mining produced no consistent pairs")
-    refined = _mining_round(
-        vocab_src, vocab_tgt, config, llm, scorer, max_workers, seeds
-    )
+    refined = _mining_round(vocab_src, vocab_tgt, config, translator, scorer, seeds)
     if not refined:
         log.warning("k-shot refinement produced no pairs; keeping seed pairs")
     return refined or seeds

@@ -6,8 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from icl_miner.corpus import LanguageSpec
-
 
 @pytest.fixture(autouse=True)
 def no_leaked_workers(request):
@@ -27,16 +25,6 @@ def no_leaked_workers(request):
     leaked_children = set(multiprocessing.active_children()) - children
     assert not leaked_threads, f"threads left running: {leaked_threads}"
     assert not leaked_children, f"child processes left running: {leaked_children}"
-
-
-@pytest.fixture
-def src_lang() -> LanguageSpec:
-    return LanguageSpec(code="ava_Latn", display_name="Avalian")
-
-
-@pytest.fixture
-def trg_lang() -> LanguageSpec:
-    return LanguageSpec(code="zor_Latn", display_name="Zorvan")
 
 
 @pytest.fixture

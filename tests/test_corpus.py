@@ -37,45 +37,45 @@ class TestLanguageSpec:
 
 
 class TestLoadVocabulary:
-    def test_dedup_preserves_order(self, write_file, src_lang):
+    def test_dedup_preserves_order(self, write_file):
         path = write_file("v.txt", ["cat", "dog", "cat", "bird"])
-        vocab = load_vocabulary(path, src_lang, max_size=10)
+        vocab = load_vocabulary(path, max_size=10)
         assert list(vocab.words) == ["cat", "dog", "bird"]
 
-    def test_truncates_to_max_size(self, write_file, src_lang):
+    def test_truncates_to_max_size(self, write_file):
         path = write_file("v.txt", [f"w{i}" for i in range(200)])
-        vocab = load_vocabulary(path, src_lang, max_size=50)
+        vocab = load_vocabulary(path, max_size=50)
         assert len(vocab) == 50
 
-    def test_empty_file_is_an_error(self, tmp_path, src_lang):
+    def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("", encoding="utf-8")
         with pytest.raises(DataError, match="empty vocabulary"):
-            load_vocabulary(path, src_lang, max_size=10)
+            load_vocabulary(path, max_size=10)
 
-    def test_multiword_lines_skipped_not_fatal(self, write_file, src_lang):
+    def test_multiword_lines_skipped_not_fatal(self, write_file):
         path = write_file("v.txt", ["cat", "two words", "dog"])
-        vocab = load_vocabulary(path, src_lang, max_size=10)
+        vocab = load_vocabulary(path, max_size=10)
         assert list(vocab.words) == ["cat", "dog"]
 
-    def test_membership_is_normalized(self, write_file, src_lang):
+    def test_membership_is_normalized(self, write_file):
         path = write_file("v.txt", ["Cat"])
-        vocab = load_vocabulary(path, src_lang, max_size=10)
+        vocab = load_vocabulary(path, max_size=10)
         assert "CAT" in vocab
         assert "cat" in vocab
         assert "dog" not in vocab
 
-    def test_rank_follows_file_order(self, write_file, src_lang):
+    def test_rank_follows_file_order(self, write_file):
         path = write_file("v.txt", ["alpha", "beta", "gamma"])
-        vocab = load_vocabulary(path, src_lang, max_size=10)
+        vocab = load_vocabulary(path, max_size=10)
         assert vocab.words.index("beta") == 1
 
-    def test_truncation_idempotence(self, write_file, src_lang):
+    def test_truncation_idempotence(self, write_file):
         # loading with a cap equals the capped prefix of a full load
         path = write_file("v.txt", [f"w{i}" for i in range(30)])
-        full = load_vocabulary(path, src_lang, max_size=30)
+        full = load_vocabulary(path, max_size=30)
         for m in range(1, 31):
-            assert load_vocabulary(path, src_lang, max_size=m).words == full.words[:m]
+            assert load_vocabulary(path, max_size=m).words == full.words[:m]
 
 
 class TestLoadMonolingual:

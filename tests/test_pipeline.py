@@ -202,8 +202,7 @@ def test_uw2w_renders_test_set_when_w2w_source_differs(tmp_path, toy_dir):
     direct = w2w.build_w2w(
         lines(toy_dir / "test.ava.txt"),
         word_mining.read_lexicon(pipeline.run_dir / "lexicon.tsv"),
-        pipeline.llm, pipeline.source_lang, pipeline.target_lang,
-        pipeline.templates, pipeline.config.max_word_tokens,
+        pipeline.translator,
     )
     assert lines(hyp) == [rendering for _, rendering in direct.pairs]
     golden = next((toy_dir / "golden").glob("run-*")) / "hyp.uw2w.txt"

@@ -16,7 +16,7 @@ from icl_miner.bm25 import tokenize
 from icl_miner.config import PipelineConfig
 from icl_miner.corpus import LanguageSpec
 from icl_miner.errors import ConfigError, DataError
-from icl_miner.prompts import sentence_translation_prompt
+from icl_miner.prompts import Translator, sentence_translation_prompt
 from icl_miner.sentence_mining import (
     Bm25Candidates,
     MinedPool,
@@ -35,6 +35,10 @@ from icl_miner.w2w import W2wCorpus
 
 AVA = LanguageSpec(code="ava_Latn", display_name="Avalian")
 ZOR = LanguageSpec(code="zor_Latn", display_name="Zorvan")
+
+
+def ava_to_zor(llm):
+    return Translator(llm, AVA, ZOR)
 
 
 def make_pool(sims, texts=None, origin="mined"):
@@ -110,7 +114,7 @@ class TestBackTranslate:
             tmp_path, sentences, self.shots, lambda s: s.replace("zorvan", "avalian")
         )
         d_u = tuple(sentences)
-        pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
+        pool = back_translate(d_u, self.shots, ava_to_zor(llm), self.scorer)
         assert len(pool) == 9
         assert pool.iteration == 1
 
@@ -119,7 +123,7 @@ class TestBackTranslate:
             tmp_path, ["zor text"], self.shots, lambda s: "ava text"
         )
         d_u = ("zor text",)
-        pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
+        pool = back_translate(d_u, self.shots, ava_to_zor(llm), self.scorer)
         pair = pool.pairs[0]
         assert pair.source_text == "ava text"
         assert pair.target_text == "zor text"
@@ -128,7 +132,7 @@ class TestBackTranslate:
     def test_copy_generation_still_forms_pair(self, tmp_path):
         llm = backtranslation_backend(tmp_path, ["same"], self.shots, lambda s: s)
         d_u = ("same",)
-        pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
+        pool = back_translate(d_u, self.shots, ava_to_zor(llm), self.scorer)
         assert pool.pairs[0].similarity == pytest.approx(1.0)
 
     def test_empty_generation_dropped(self, tmp_path):
@@ -136,7 +140,7 @@ class TestBackTranslate:
             tmp_path, ["a", "b"], self.shots, lambda s: "" if s == "a" else "ok"
         )
         d_u = ("a", "b")
-        pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
+        pool = back_translate(d_u, self.shots, ava_to_zor(llm), self.scorer)
         assert len(pool) == 1
 
 
@@ -146,7 +150,7 @@ class TestBackTranslate:
             tmp_path, sentences, self.shots, lambda s: s.replace("zor", "ava")
         )
         d_u = tuple(sentences)
-        pool = back_translate(d_u, self.shots, llm, self.scorer, AVA, ZOR)
+        pool = back_translate(d_u, self.shots, ava_to_zor(llm), self.scorer)
         texts = [p.source_text for p in pool.pairs]
         assert texts == ["ava a", "ava b", "ava a", "ava a"]
         assert llm.call_count == 2
@@ -159,7 +163,7 @@ class TestBackTranslate:
         )
         with caplog.at_level(logging.WARNING, logger="icl_miner.sentence_mining"):
             pool = back_translate(
-                tuple(sentences), self.shots, llm, self.scorer, AVA, ZOR
+                tuple(sentences), self.shots, ava_to_zor(llm), self.scorer
             )
         assert [p.target_text for p in pool.pairs] == ["same", "zor b", "same", "same"]
         assert [record.getMessage() for record in caplog.records] == [
@@ -431,23 +435,23 @@ class TestMineExamples:
 
     def test_single_iteration_equals_back_translate(self, tmp_path):
         d_u, w2w, llm, scorer = self._setup(tmp_path, 1)
-        pool = mine_examples(d_u, w2w, 2, llm, scorer, AVA, ZOR, iterations=1)
+        pool = mine_examples(d_u, w2w, 2, ava_to_zor(llm), scorer, iterations=1)
         shots = select_backtranslation_shots(w2w, 2, scorer)
-        direct = back_translate(d_u, shots, llm, scorer, AVA, ZOR)
+        direct = back_translate(d_u, shots, ava_to_zor(llm), scorer)
         assert pool.pairs == direct.pairs
         assert pool.iteration == 1
 
     def test_two_iterations_tagged_and_reproducible(self, tmp_path):
         d_u, w2w, llm, scorer = self._setup(tmp_path, 2)
-        pool_a = mine_examples(d_u, w2w, 2, llm, scorer, AVA, ZOR, iterations=2)
-        pool_b = mine_examples(d_u, w2w, 2, llm, scorer, AVA, ZOR, iterations=2)
+        pool_a = mine_examples(d_u, w2w, 2, ava_to_zor(llm), scorer, iterations=2)
+        pool_b = mine_examples(d_u, w2w, 2, ava_to_zor(llm), scorer, iterations=2)
         assert pool_a.iteration == 2
         assert pool_a.pairs == pool_b.pairs
 
     def test_iterations_must_be_positive(self, tmp_path):
         d_u, w2w, llm, scorer = self._setup(tmp_path, 1)
         with pytest.raises(DataError):
-            mine_examples(d_u, w2w, 2, llm, scorer, AVA, ZOR, iterations=0)
+            mine_examples(d_u, w2w, 2, ava_to_zor(llm), scorer, iterations=0)
 
 
 class TestPoolIO:

@@ -8,7 +8,7 @@ import pytest
 from icl_miner.backends import MockLLMBackend, SimilarityScorer, TrigramHashEmbedder
 from icl_miner.corpus import LanguageSpec, Vocabulary
 from icl_miner.errors import BackendError, DataError
-from icl_miner.prompts import word_translation_prompt
+from icl_miner.prompts import Translator, word_translation_prompt
 from icl_miner.word_mining import (
     K_SHOT,
     ZERO_SHOT,
@@ -27,8 +27,12 @@ AVA = LanguageSpec(code="ava_Latn", display_name="Avalian")
 ZOR = LanguageSpec(code="zor_Latn", display_name="Zorvan")
 
 
-def vocab(lang, words):
-    return Vocabulary(language=lang, words=tuple(words))
+def vocab(words):
+    return Vocabulary(words=tuple(words))
+
+
+def ava_to_zor(llm):
+    return Translator(llm, AVA, ZOR)
 
 
 def fixture_backend(tmp_path, mapping, shots_fwd=(), shots_bwd=()):
@@ -67,7 +71,8 @@ class TestMineForward:
             {("gato", "fwd"): [("cat", -1.0), ("car", -2.0), ("gato", -3.0)]},
         )
         pool = mine_forward(
-            vocab(AVA, ["gato"]), vocab(ZOR, ["cat", "car"]), MiningConfig(n=3), llm
+            vocab(["gato"]), vocab(["cat", "car"]), MiningConfig(n=3),
+            ava_to_zor(llm),
         )
         assert pool == {"gato": (("cat", -1.0), ("car", -2.0))}
 
@@ -80,7 +85,8 @@ class TestMineForward:
             },
         )
         pool = mine_forward(
-            vocab(AVA, ["gato", "perro"]), vocab(ZOR, ["cat"]), MiningConfig(n=1), llm
+            vocab(["gato", "perro"]), vocab(["cat"]), MiningConfig(n=1),
+            ava_to_zor(llm),
         )
         assert "perro" not in pool
         assert "gato" in pool
@@ -89,10 +95,10 @@ class TestMineForward:
         completions = [(f"t{i}", -float(i)) for i in range(10)]
         llm = fixture_backend(tmp_path, {("w", "fwd"): completions})
         pool = mine_forward(
-            vocab(AVA, ["w"]),
-            vocab(ZOR, [f"t{i}" for i in range(10)]),
+            vocab(["w"]),
+            vocab([f"t{i}" for i in range(10)]),
             MiningConfig(n=4),
-            llm,
+            ava_to_zor(llm),
         )
         assert len(pool["w"]) <= 4
 
@@ -102,7 +108,7 @@ class TestMineForward:
             {("w", "fwd"): [("cat", -1.0), ("CAT", -2.0), ("cat", -3.0)]},
         )
         pool = mine_forward(
-            vocab(AVA, ["w"]), vocab(ZOR, ["cat"]), MiningConfig(n=3), llm
+            vocab(["w"]), vocab(["cat"]), MiningConfig(n=3), ava_to_zor(llm)
         )
         assert pool["w"] == (("cat", -1.0),)
 
@@ -110,8 +116,8 @@ class TestMineForward:
         llm = fixture_backend(tmp_path, {("a", "fwd"): [("cat", -1.0)]})
         with pytest.raises(BackendError, match="aborting"):
             mine_forward(
-                vocab(AVA, ["a", "b", "c"]), vocab(ZOR, ["cat"]),
-                MiningConfig(n=1), llm,
+                vocab(["a", "b", "c"]), vocab(["cat"]),
+                MiningConfig(n=1), ava_to_zor(llm),
             )
 
     def test_minority_failures_tolerated(self, tmp_path):
@@ -120,8 +126,8 @@ class TestMineForward:
             {("a", "fwd"): [("cat", -1.0)], ("b", "fwd"): [("car", -1.0)]},
         )
         pool = mine_forward(
-            vocab(AVA, ["a", "b", "c"]), vocab(ZOR, ["cat", "car"]),
-            MiningConfig(n=1), llm,
+            vocab(["a", "b", "c"]), vocab(["cat", "car"]),
+            MiningConfig(n=1), ava_to_zor(llm),
         )
         assert set(pool) == {"a", "b"}
 
@@ -137,8 +143,7 @@ class TestMineBackward:
         )
         forward = {"gato": (("cat", -1.0),), "auto": (("car", -1.5),)}
         backward = mine_backward(
-            forward, vocab(AVA, ["gato", "coche", "auto"]), vocab(ZOR, ["cat", "car"]),
-            MiningConfig(), llm,
+            forward, vocab(["gato", "coche", "auto"]), ava_to_zor(llm)
         )
         assert backward == {
             "cat": (("gato", -1.0),),
@@ -148,18 +153,13 @@ class TestMineBackward:
     def test_back_translation_outside_vocab_dropped(self, tmp_path):
         llm = fixture_backend(tmp_path, {("cat", "bwd"): [("unknown", -1.0)]})
         forward = {"gato": (("cat", -1.0),)}
-        backward = mine_backward(
-            forward, vocab(AVA, ["gato"]), vocab(ZOR, ["cat"]), MiningConfig(), llm
-        )
+        backward = mine_backward(forward, vocab(["gato"]), ava_to_zor(llm))
         assert backward == {}
 
     def test_duplicate_targets_translated_once(self, tmp_path):
         llm = fixture_backend(tmp_path, {("cat", "bwd"): [("gato", -1.0)]})
         forward = {"gato": (("cat", -1.0),), "minino": (("cat", -2.0),)}
-        mine_backward(
-            forward, vocab(AVA, ["gato", "minino"]), vocab(ZOR, ["cat"]),
-            MiningConfig(), llm,
-        )
+        mine_backward(forward, vocab(["gato", "minino"]), ava_to_zor(llm))
         assert llm.call_count == 1
 
 
@@ -283,8 +283,8 @@ class TestRefineKshot:
         )
         scorer = SimilarityScorer(TrigramHashEmbedder())
         refined = mine_lexicon(
-            vocab(AVA, ["gato"]), vocab(ZOR, ["cat"]),
-            MiningConfig(n=1, k_wp=1), llm, scorer,
+            vocab(["gato"]), vocab(["cat"]),
+            MiningConfig(n=1, k_wp=1), ava_to_zor(llm), scorer,
         )
         assert [(p.source_word, p.target_word) for p in refined] == [("gato", "cat")]
         assert all(p.provenance == K_SHOT for p in refined)
@@ -304,8 +304,8 @@ class TestRefineKshot:
         )
         scorer = SimilarityScorer(TrigramHashEmbedder())
         refined = mine_lexicon(
-            vocab(AVA, ["gato"]), vocab(ZOR, ["cat"]),
-            MiningConfig(n=1, k_wp=10), llm, scorer,
+            vocab(["gato"]), vocab(["cat"]),
+            MiningConfig(n=1, k_wp=10), ava_to_zor(llm), scorer,
         )
         assert len(refined) <= 10
 
@@ -320,8 +320,8 @@ class TestMineLexicon:
         )
         scorer = SimilarityScorer(TrigramHashEmbedder())
         pairs = mine_lexicon(
-            vocab(AVA, ["gato"]), vocab(ZOR, ["cat"]),
-            MiningConfig(n=1, k_wp=1), llm, scorer,
+            vocab(["gato"]), vocab(["cat"]),
+            MiningConfig(n=1, k_wp=1), ava_to_zor(llm), scorer,
         )
         assert [(p.source_word, p.target_word, p.provenance) for p in pairs] == [
             ("gato", "cat", ZERO_SHOT)
@@ -341,8 +341,9 @@ class TestMineLexicon:
         )
         with pytest.raises(DataError, match="no consistent pairs"):
             mine_lexicon(
-                vocab(AVA, ["gato", "perro"]), vocab(ZOR, ["cat"]),
-                MiningConfig(n=1), llm, SimilarityScorer(TrigramHashEmbedder()),
+                vocab(["gato", "perro"]), vocab(["cat"]),
+                MiningConfig(n=1), ava_to_zor(llm),
+                SimilarityScorer(TrigramHashEmbedder()),
             )
         assert llm.call_count == 3  # the zero-shot round's only: no k-shot round
 
