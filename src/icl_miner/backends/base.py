@@ -189,7 +189,9 @@ class SimilarityScorer:
     """sim(x, y) = cosine(embed(x), embed(y)), with embeddings memoized.
 
     `sims` scores many pairs: it first embeds the distinct texts not yet
-    memoized, with up to max_workers embedding requests in flight.
+    memoized, with up to max_workers embedding requests in flight. Give
+    max_workers above 1 only to an embedder that waits on a network; a
+    local one runs fastest on the calling thread.
     """
 
     def __init__(self, embedder: EmbeddingBackend, max_workers: int = 1):
@@ -234,9 +236,12 @@ def parallel_map(
     Every stage sends its backend requests, LLM and embedding alike and
     translation included, through one parallel_map call at a time, so
     max_workers bounds all requests in flight. `fn` must not start another
-    parallel_map. Items for which `local(item)` is true need no request
-    (the response cache holds the answer): they run in the calling thread,
-    where they avoid the GIL hand-offs of a worker thread.
+    parallel_map. Threads pay off only while requests wait on a network:
+    callers pass max_workers 1 for a backend that computes in Python, and
+    then every item runs on the calling thread and no thread is started.
+    Items for which `local(item)` is true need no request (the response
+    cache holds the answer): they run in the calling thread, where they
+    avoid the GIL hand-offs of a worker thread.
     """
     items = list(items)
     if max_workers <= 1 or len(items) <= 1:

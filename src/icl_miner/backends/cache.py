@@ -161,7 +161,9 @@ class _SingleFlight:
 class _CachingWrapper:
     """Cache lookup, single flight and storage shared by the caching wrappers.
 
-    A subclass names, in `_payload`, the request fields its keys hash.
+    A subclass names, in `_payload`, the request fields its keys hash. The
+    key that `cached` computes is kept until the query is answered, so a
+    query checked before it is sent is hashed once.
     """
 
     def __init__(self, backend: LLMBackend | EmbeddingBackend, cache: ResponseCache):
@@ -170,17 +172,19 @@ class _CachingWrapper:
         self.backend_id = backend.backend_id
         self.model_id = backend.model_id
         self._flights = _SingleFlight()
+        self._checked: dict = {}  # query -> key, from `cached` until answered
 
     def _key(self, query) -> str:
         return fingerprint(self.backend_id, self.model_id, self._payload(query))
 
     def cached(self, query) -> bool:
         """Whether the cache already holds the answer to `query`."""
-        return self.cache.contains(self._key(query))
+        key = self._checked[query] = self._key(query)
+        return self.cache.contains(key)
 
     def _get_or_fetch(self, query, fetch, encode, decode):
         """The cached answer to `query`, else `fetch(query)`, stored encoded."""
-        key = self._key(query)
+        key = self._checked.pop(query, None) or self._key(query)
         with self._flights.hold(key):
             hit = self.cache.get(key)
             if hit is not None:

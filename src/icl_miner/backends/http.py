@@ -37,6 +37,7 @@ class _HttpBackend:
     API key (by default from `ICL_MINER_API_KEY`)."""
 
     _what = "HTTP backend"
+    remote = True  # a request waits on the network: worth a worker thread
 
     def __init__(
         self,

@@ -29,6 +29,7 @@ class MockLLMBackend:
     """
 
     backend_id = "mock"
+    remote = False
 
     def __init__(self, fixture_path: str | Path, model_id: str = "mock-model"):
         self.model_id = model_id
@@ -71,6 +72,7 @@ class FixtureEmbeddingBackend:
     """Embeddings from a JSONL fixture: {"text": ..., "vector": [...]}."""
 
     backend_id = "mock-embed"
+    remote = False
 
     def __init__(self, fixture_path: str | Path, model_id: str = "mock-embed-model"):
         self.model_id = model_id
@@ -105,6 +107,7 @@ class TrigramHashEmbedder:
     """
 
     backend_id = "trigram-hash"
+    remote = False
 
     def __init__(self, dim: int = 256, model_id: str = "trigram-256"):
         if dim < 1:

@@ -27,8 +27,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--concurrency",
         type=int,
-        help="max in-flight backend requests, LLM and embedding together, "
-        "in every stage including translation",
+        help="max requests in flight to network (HTTP) backends, LLM and "
+        "embedding together, in every stage including translation; local "
+        "backends run on the calling thread",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
 

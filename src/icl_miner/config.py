@@ -96,8 +96,9 @@ class PipelineConfig:
     embedding_model: str = _ini("backend.embedding_model", "")
     embedding_dim: int = _ini("backend.embedding_dim", 256, least=1)
     cache_dir: str = _ini("backend.cache_dir", ".icl-cache", path=True)
-    # max backend requests in flight, LLM and embedding together, in every
-    # stage including translation
+    # max requests in flight to network (HTTP) backends, LLM and embedding
+    # together, in every stage including translation; requests to local
+    # backends (mock, trigram, fixture) run one at a time on the calling thread
     concurrency: int = _ini("backend.concurrency", 1, least=1)
     # n, k_wp, k, tau and fallback_m (m) default to the published constants
     n: int = _ini("mining.n", 10, least=1)

@@ -132,7 +132,8 @@ class Pipeline:
         source = LanguageSpec.from_code(config.source_code, config.source_name or None)
         target = LanguageSpec.from_code(config.target_code, config.target_name or None)
         cache = ResponseCache(config.cache_dir)
-        self.llm = CachingLLM(self._make_llm(), cache)
+        llm, embedder = self._make_llm(), self._make_embedder()
+        self.llm = CachingLLM(llm, cache)
         templates = PromptTemplates(
             config.word_zero_shot_template or PromptTemplates.word_zero_shot,
             config.word_shot_header_template or PromptTemplates.word_shot_header,
@@ -142,10 +143,10 @@ class Pipeline:
                     if config.sentence_decoding == "beam" else DecodingMode.greedy())
         self.translator = Translator(
             self.llm, source, target, templates, config.max_word_tokens,
-            config.max_sentence_tokens, decoding, config.concurrency,
+            config.max_sentence_tokens, decoding, self._workers(llm),
         )
-        self.embedder = CachingEmbedder(self._make_embedder(), cache)
-        self.scorer = SimilarityScorer(self.embedder, max_workers=config.concurrency)
+        self.embedder = CachingEmbedder(embedder, cache)
+        self.scorer = SimilarityScorer(self.embedder, self._workers(embedder))
         self._mining_config = word_mining.MiningConfig(
             n=config.n,
             k_wp=config.k_wp,
@@ -161,6 +162,12 @@ class Pipeline:
         if cfg.backend_kind == "mock":
             return MockLLMBackend(cfg.llm_fixture, model_id=cfg.model or "mock-model")
         return HttpLLMBackend(cfg.base_url, cfg.model)
+
+    def _workers(self, backend) -> int:
+        """Requests in flight to `backend`: `concurrency` when it waits on a
+        network, else 1. A local backend computes in Python under the
+        interpreter lock, so worker threads would only take turns at it."""
+        return self.config.concurrency if backend.remote else 1
 
     def _make_embedder(self):
         cfg = self.config

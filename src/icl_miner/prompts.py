@@ -83,7 +83,9 @@ class Translator:
     Word requests stop at whitespace after at most `max_word_tokens`;
     sentence requests stop at a line break after at most
     `max_sentence_tokens`, decoded with `decoding`. Failures follow
-    `generate_each`, with up to `max_workers` requests in flight.
+    `generate_each`, with up to `max_workers` requests in flight; a
+    translator over a local backend keeps 1 and sends every request from
+    the calling thread.
     """
 
     llm: LLMBackend

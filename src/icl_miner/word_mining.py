@@ -56,11 +56,12 @@ class MiningConfig:
 
 
 def _filtered_candidates(
-    completions: Sequence[ScoredCompletion], vocab: Vocabulary, limit: int
+    completions: Sequence[ScoredCompletion], vocab: Vocabulary
 ) -> tuple[tuple[str, float], ...]:
     """Keep completions that normalize into the vocabulary, deduplicated.
 
-    Completions arrive sorted by descending score, so the first occurrence
+    Completions arrive as `finalize_completions` leaves them: at most the
+    requested number, sorted by descending score, so the first occurrence
     of a word is its best-scored one.
     """
     kept: list[tuple[str, float]] = []
@@ -71,8 +72,6 @@ def _filtered_candidates(
             continue
         seen.add(word)
         kept.append((word, completion.sequence_score))
-        if len(kept) >= limit:
-            break
     return tuple(kept)
 
 
@@ -80,13 +79,12 @@ def _translate_words(
     words: Sequence[str],
     results: Sequence[Sequence[ScoredCompletion]],
     filter_vocab: Vocabulary,
-    limit: int,
 ) -> Candidates:
     """The candidates of each word that has any; a failed word has none."""
     return {
         word: candidates
         for word, completions in zip(words, results)
-        if (candidates := _filtered_candidates(completions, filter_vocab, limit))
+        if (candidates := _filtered_candidates(completions, filter_vocab))
     }
 
 
@@ -102,7 +100,7 @@ def mine_forward(
         raise DataError("source vocabulary is empty")
     mode = DecodingMode.random_sampling(config.temperature, config.seed)
     results = translator.words(vocab_src.words, shots, mode, config.n)
-    return _translate_words(vocab_src.words, results, vocab_tgt, config.n)
+    return _translate_words(vocab_src.words, results, vocab_tgt)
 
 
 def mine_backward(
@@ -120,7 +118,7 @@ def mine_backward(
         word for candidates in forward.values() for word, _ in candidates
     ))
     results = translator.reverse().words(targets, shots)
-    return _translate_words(targets, results, vocab_src, 1)
+    return _translate_words(targets, results, vocab_src)
 
 
 def consistency_filter(

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from icl_miner.backends import MockLLMBackend, TrigramHashEmbedder
+
 
 @pytest.fixture(autouse=True)
 def no_leaked_workers(request):
@@ -25,6 +27,32 @@ def no_leaked_workers(request):
     leaked_children = set(multiprocessing.active_children()) - children
     assert not leaked_threads, f"threads left running: {leaked_threads}"
     assert not leaked_children, f"child processes left running: {leaked_children}"
+
+
+@pytest.fixture
+def backend_threads(monkeypatch) -> dict[str, set[int]]:
+    """The threads that requests to the mock LLM ("llm") and to the trigram
+    embedder ("embed") ran on, recorded from this fixture on."""
+    threads: dict[str, set[int]] = {"llm": set(), "embed": set()}
+    for cls, method, layer in ((MockLLMBackend, "generate", "llm"),
+                               (TrigramHashEmbedder, "embed", "embed")):
+        def recording(self, query, original=getattr(cls, method),
+                      seen=threads[layer]):
+            seen.add(threading.get_ident())
+            return original(self, query)
+
+        monkeypatch.setattr(cls, method, recording)
+    return threads
+
+
+@pytest.fixture
+def remote_mocks(monkeypatch, backend_threads) -> dict[str, set[int]]:
+    """Declare the mock LLM and the trigram embedder remote, as an HTTP
+    backend is, so that a pipeline at concurrency above 1 sends their
+    requests from worker threads; gives `backend_threads`."""
+    monkeypatch.setattr(MockLLMBackend, "remote", True)
+    monkeypatch.setattr(TrigramHashEmbedder, "remote", True)
+    return backend_threads
 
 
 @pytest.fixture

@@ -34,6 +34,7 @@ from icl_miner.backends import (
     fingerprint,
     parallel_map,
 )
+from icl_miner.backends import cache as cache_module
 from icl_miner.backends import http
 from icl_miner.backends.base import generate_each
 from icl_miner.errors import BackendError, BackendRejected
@@ -417,6 +418,36 @@ class TestGenerateEach:
         # a second call gets the success from the cache and sends the failure again
         generate_each(llm, [bad, ok], max_workers=4)
         assert sorted(backend.calls) == ["bad", "bad", "ok"]
+
+    def test_each_distinct_request_is_fingerprinted_once(self, tmp_path, monkeypatch):
+        hashed = []
+
+        def counting(backend_id, model_id, payload):
+            hashed.append(json.dumps(payload, sort_keys=True))
+            return fingerprint(backend_id, model_id, payload)
+
+        # remote backends are the ones a pipeline sends from worker threads
+        class RemoteLLM(self.Failing):
+            remote = True
+
+        class RemoteEmbedder:
+            backend_id, model_id, remote = "embed", "m", True
+
+            def embed(self, text):
+                return EmbeddingVector((float(ord(text)), 1.0))
+
+        monkeypatch.setattr(cache_module, "fingerprint", counting)
+        cache = ResponseCache(tmp_path / "cache")
+        llm = CachingLLM(RemoteLLM(), cache)
+        scorer = SimilarityScorer(CachingEmbedder(RemoteEmbedder(), cache), max_workers=4)
+        requests = [GenerationRequest(prompt=p) for p in ("a", "b", "a", "c")]
+        for run in ("cold", "warm"):  # misses, then hits
+            hashed.clear()
+            generate_each(llm, requests, max_workers=4)
+            assert len(hashed) == len(set(hashed)) == 3, run
+        hashed.clear()
+        scorer.sims([("a", "b"), ("b", "c"), ("c", "a")])
+        assert len(hashed) == len(set(hashed)) == 3
 
     @pytest.mark.parametrize("max_workers", [1, 4])
     def test_partial_failure_is_summed_up_once(self, caplog, max_workers):
@@ -805,6 +836,26 @@ class TestHttpBackend:
         assert body["n"] == 2
         assert body["temperature"] == 0.8
         assert body["seed"] == 7
+
+    @pytest.mark.parametrize("width, num_samples, best_of", [(4, 2, 4), (2, 5, 5)])
+    def test_beam_request_payload(self, monkeypatch, width, num_samples, best_of):
+        sent = []
+
+        def post(path, payload):
+            sent.append((path, payload))
+            return {"choices": [{"text": " chat"}]}
+
+        backend = HttpLLMBackend("http://127.0.0.1:1/v1", "test-model", api_key="k")
+        monkeypatch.setattr(backend, "_post", post)
+        backend.generate(GenerationRequest(
+            prompt="p", num_samples=num_samples, mode=DecodingMode.beam(width),
+        ))
+        [(path, payload)] = sent
+        assert path == "completions"
+        assert payload["use_beam_search"] is True
+        assert payload["best_of"] == best_of
+        assert payload["temperature"] == 0.0
+        assert payload["n"] == num_samples
 
     def test_retries_on_5xx(self, stub_server, monkeypatch):
         monkeypatch.setattr(http, "RETRY_BASE_DELAY", 0.0)

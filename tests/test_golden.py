@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 from icl_miner.config import load_config
@@ -18,10 +19,14 @@ def read_tree(root: Path) -> dict[str, bytes]:
     }
 
 
-def test_toy_run_matches_golden_at_concurrency_1_and_8(tmp_path, toy_dir):
+def test_toy_run_matches_golden_at_concurrency_1_and_8(tmp_path, toy_dir, remote_mocks):
+    # the toy backends, declared remote, are sent requests from worker
+    # threads at concurrency 8, as HTTP backends are
     golden = read_tree(toy_dir / "golden" / GOLDEN_RUN)
     calls = {}
     for concurrency in (1, 8):
+        for seen in remote_mocks.values():
+            seen.clear()
         work = tmp_path / f"concurrency-{concurrency}"
         config = load_config(toy_dir / "toy.ini", {
             "output_dir": str(work / "out"),
@@ -37,4 +42,7 @@ def test_toy_run_matches_golden_at_concurrency_1_and_8(tmp_path, toy_dir):
         for name, data in golden.items():
             assert got[name] == data, f"{name} differs at concurrency {concurrency}"
         calls[concurrency] = pipeline.llm.backend.call_count
+        for layer, seen in remote_mocks.items():
+            workers = seen - {threading.get_ident()}
+            assert bool(workers) == (concurrency > 1), (layer, concurrency)
     assert calls[1] == calls[8] > 0

@@ -1,20 +1,24 @@
-"""Stage currency on the toy config: what a repeated run rewrites."""
+"""Stage currency on the toy config: what a repeated run rewrites, and
+which backend requests run on worker threads."""
 
 from __future__ import annotations
 
 import json
 import os
 import shutil
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from icl_miner import metrics, w2w, word_mining
-from icl_miner.backends import ScoredCompletion
-from icl_miner.config import load_config
+from icl_miner import backends, metrics, w2w, word_mining
+from icl_miner.backends import MockLLMBackend, ScoredCompletion
+from icl_miner.config import POLICIES, load_config
 from icl_miner.errors import BackendError, BackendRejected, DataError
 from icl_miner.pipeline import Pipeline
+from icl_miner.prompts import Translator
 
 
 def toy_pipeline(
@@ -26,6 +30,12 @@ def toy_pipeline(
         "concurrency": concurrency,
         **overrides,
     }))
+
+
+def worker_threads(threads: dict[str, set[int]]) -> set[int]:
+    """The threads in `threads` (see `backend_threads`), of any layer,
+    other than this one."""
+    return set().union(*threads.values()) - {threading.get_ident()}
 
 
 def lines(path: Path) -> list[str]:
@@ -48,7 +58,9 @@ def stage_files(run_dir: Path) -> dict[str, tuple[int, int]]:
 
 
 @pytest.mark.parametrize("concurrency", [1, 8])
-def test_resume_rewrites_only_the_stale_stage(tmp_path, toy_dir, concurrency):
+def test_resume_rewrites_only_the_stale_stage(
+    tmp_path, toy_dir, concurrency, remote_mocks
+):
     ini = toy_dir / "toy.ini"
     run_dir = toy_pipeline(ini, tmp_path, concurrency).run_dir
     toy_pipeline(ini, tmp_path, concurrency).run_all()
@@ -71,6 +83,7 @@ def test_resume_rewrites_only_the_stale_stage(tmp_path, toy_dir, concurrency):
         "hyp.topk.txt", "audit.topk.jsonl", "hyp.topk.txt.manifest.json"
     }
     assert hyp.read_bytes() == expected
+    assert bool(worker_threads(remote_mocks)) == (concurrency > 1)
 
 
 def test_warm_run_sends_no_request_and_writes_no_cache_file(tmp_path, toy_dir):
@@ -137,7 +150,9 @@ def golden_lines(toy_dir: Path, name: str) -> list[str]:
 
 
 @pytest.mark.parametrize("concurrency", [1, 8])
-def test_one_failed_translation_leaves_its_line_empty(tmp_path, toy_dir, concurrency):
+def test_one_failed_translation_leaves_its_line_empty(
+    tmp_path, toy_dir, concurrency, remote_mocks
+):
     pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path, concurrency)
     sources = lines(toy_dir / "test.ava.txt")
     pipeline.llm.backend = rejecting(pipeline.llm.backend, sources, {1})
@@ -147,10 +162,13 @@ def test_one_failed_translation_leaves_its_line_empty(tmp_path, toy_dir, concurr
     assert expected[1]
     expected[1] = ""
     assert lines(hyp) == expected
+    assert bool(worker_threads(remote_mocks)) == (concurrency > 1)
 
 
 @pytest.mark.parametrize("concurrency", [1, 8])
-def test_failed_translation_aborts_the_stage(tmp_path, toy_dir, concurrency):
+def test_failed_translation_aborts_the_stage(
+    tmp_path, toy_dir, concurrency, remote_mocks
+):
     # a stage aborts when more than half of its requests fail
     pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path, concurrency)
     sources = lines(toy_dir / "test.ava.txt")
@@ -168,6 +186,7 @@ def test_failed_translation_aborts_the_stage(tmp_path, toy_dir, concurrency):
     hyp = pipeline.translate("zero_shot")
     assert lines(hyp) == golden_lines(toy_dir, "hyp.zero_shot.txt")
     assert hyp.with_name(hyp.name + ".manifest.json").exists()
+    assert bool(worker_threads(remote_mocks)) == (concurrency > 1)
 
 
 def test_run_all_checks_each_stage_once(tmp_path, toy_dir, monkeypatch):
@@ -229,7 +248,9 @@ def test_uw2w_aligns_with_reference_around_blank_target(tmp_path, toy_dir):
 
 
 @pytest.mark.parametrize("concurrency", [1, 8])
-def test_resume_rewrites_no_report(tmp_path, toy_dir, concurrency):
+def test_resume_rewrites_no_report(
+    tmp_path, toy_dir, concurrency, remote_mocks
+):
     ini = toy_dir / "toy.ini"
     first = toy_pipeline(ini, tmp_path, concurrency)
     expected = first.run_all()
@@ -244,6 +265,7 @@ def test_resume_rewrites_no_report(tmp_path, toy_dir, concurrency):
     assert {
         path.name: (path.stat().st_ino, path.stat().st_mtime_ns) for path in reports
     } == before
+    assert bool(worker_threads(remote_mocks)) == (concurrency > 1)
 
 
 def test_scoring_error_stops_the_run_before_the_next_translation(tmp_path, toy_dir):
@@ -309,7 +331,9 @@ def test_run_all_counts_each_distinct_line_pair_once(tmp_path, toy_dir, monkeypa
 
 
 @pytest.mark.parametrize("concurrency", [1, 8])
-def test_translation_with_unicode_line_separator(tmp_path, toy_dir, concurrency):
+def test_translation_with_unicode_line_separator(
+    tmp_path, toy_dir, concurrency, remote_mocks
+):
     pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path, concurrency)
     sources = (toy_dir / "test.ava.txt").read_text(encoding="utf-8").splitlines()
     backend = pipeline.llm.backend
@@ -333,6 +357,7 @@ def test_translation_with_unicode_line_separator(tmp_path, toy_dir, concurrency)
     hypotheses = (pipeline.run_dir / "hyp.zero_shot.txt").read_text(encoding="utf-8")
     assert hypotheses.count("\n") == len(sources)
     assert "\u2028ak" in hypotheses.split("\n")[2]
+    assert bool(worker_threads(remote_mocks)) == (concurrency > 1)
 
 
 def test_changed_subword_vocabulary_is_rescored(tmp_path, toy_dir):
@@ -353,3 +378,73 @@ def test_changed_subword_vocabulary_is_rescored(tmp_path, toy_dir):
     second = run_with("ak\nlu\nsk\n")
     assert first["subword_vocab"] != second["subword_vocab"]
     assert first["hypotheses"] == second["hypotheses"]
+
+
+def test_mock_run_at_concurrency_8_starts_no_thread(tmp_path, toy_dir, monkeypatch):
+    # the mock LLM and the trigram embedder compute in Python, so their
+    # requests stay on the calling thread whatever the concurrency
+    pools = []
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(backends.base, "ThreadPoolExecutor", counting_pool)
+    toy_pipeline(toy_dir / "toy.ini", tmp_path, 8).run_all()
+    assert pools == []
+
+
+def test_mixed_pipeline_threads_only_its_remote_llm(
+    tmp_path, toy_dir, monkeypatch, backend_threads
+):
+    # as with an HTTP LLM and `embedding = trigram`
+    monkeypatch.setattr(MockLLMBackend, "remote", True)
+    pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path, 8)
+    pipeline.mine_words()
+    caller = threading.get_ident()
+    assert backend_threads["embed"] == {caller}
+    assert backend_threads["llm"] - {caller}
+
+
+@pytest.mark.parametrize("llm, embedding, workers", [
+    ("mock", "trigram", (1, 1)),
+    ("http", "trigram", (8, 1)),
+    ("http", "http", (8, 8)),
+])
+def test_concurrency_bounds_only_network_backends(
+    tmp_path, toy_dir, llm, embedding, workers
+):
+    pipeline = toy_pipeline(
+        toy_dir / "toy.ini", tmp_path, 8,
+        backend_kind=llm, embedding_kind=embedding, base_url="http://127.0.0.1:1/v1",
+    )
+    assert (pipeline.translator.max_workers, pipeline.scorer.max_workers) == workers
+
+
+def test_best_first_reverses_the_shots_of_ranked_policies_only(
+    tmp_path, toy_dir, monkeypatch
+):
+    # the toy fixture answers best_last prompts only, so this compares the
+    # shots each policy sends, not its translations
+    policies = [name for name, spec in POLICIES.items() if spec.selector != "none"]
+    sent = {}
+    for order in ("best_last", "best_first"):
+        pipeline = toy_pipeline(toy_dir / "toy.ini", tmp_path, shot_order=order)
+        pipeline.mine_sentences()
+        shot_lists = []
+
+        def capturing(self, sentences, lists, what="translations"):
+            shot_lists.append([list(shots) for shots in lists])
+            return [""] * len(sentences)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Translator, "sentences", capturing)
+            for policy in policies:
+                pipeline.translate(policy)
+        sent[order] = dict(zip(policies, shot_lists, strict=True))
+    for policy in policies:
+        best_last = sent["best_last"][policy]
+        reversed_ = [shots[::-1] for shots in best_last]
+        assert reversed_ != best_last, policy
+        expected = reversed_ if POLICIES[policy].ranked else best_last
+        assert sent["best_first"][policy] == expected, policy
