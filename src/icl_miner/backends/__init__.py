@@ -11,7 +11,6 @@ from .base import (
     StopCondition,
     cosine,
     finalize_completions,
-    parallel_map,
 )
 from .cache import CachingEmbedder, CachingLLM, ResponseCache, fingerprint
 from .http import HttpEmbeddingBackend, HttpLLMBackend
@@ -37,5 +36,4 @@ __all__ = [
     "cosine",
     "fingerprint",
     "finalize_completions",
-    "parallel_map",
 ]

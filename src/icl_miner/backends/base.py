@@ -7,11 +7,13 @@ import logging
 import math
 import operator
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from ..errors import BackendError
+
+if TYPE_CHECKING:
+    from .cache import CachingEmbedder, CachingLLM
 
 log = logging.getLogger(__name__)
 
@@ -189,14 +191,11 @@ class SimilarityScorer:
     """sim(x, y) = cosine(embed(x), embed(y)), with embeddings memoized.
 
     `sims` scores many pairs: it first embeds the distinct texts not yet
-    memoized, with up to max_workers embedding requests in flight. Give
-    max_workers above 1 only to an embedder that waits on a network; a
-    local one runs fastest on the calling thread.
+    memoized through one `embed_all` of the caching embedder.
     """
 
-    def __init__(self, embedder: EmbeddingBackend, max_workers: int = 1):
+    def __init__(self, embedder: CachingEmbedder):
         self.embedder = embedder
-        self.max_workers = max_workers
         self._memo: dict[str, EmbeddingVector] = {}
 
     def embedding(self, text: str) -> EmbeddingVector:
@@ -212,57 +211,28 @@ class SimilarityScorer:
         return cosine(self.embedding(x), self.embedding(y))
 
     def sims(self, pairs: Iterable[tuple[str, str]]) -> list[float]:
+        """The similarity of each pair; raises the first embedding error
+        in input order."""
         pairs = list(pairs)
         texts = dict.fromkeys(text for pair in pairs for text in pair)
         missing = [text for text in texts if text not in self._memo]
-        # a caching embedder answers some texts without a request
-        cached = getattr(self.embedder, "cached", None)
-        parallel_map(self.embedding, missing, self.max_workers, local=cached)
+        for text, vector in zip(missing, self.embedder.embed_all(missing)):
+            if isinstance(vector, BackendError):
+                raise vector
+            self._memo[text] = vector
         return [self.sim(x, y) for x, y in pairs]
 
 
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    max_workers: int = 1,
-    local: Callable[[T], bool] | None = None,
-) -> list[R]:
-    """Order-preserving map; max_workers bounds in-flight backend requests.
-
-    Every stage sends its backend requests, LLM and embedding alike and
-    translation included, through one parallel_map call at a time, so
-    max_workers bounds all requests in flight. `fn` must not start another
-    parallel_map. Threads pay off only while requests wait on a network:
-    callers pass max_workers 1 for a backend that computes in Python, and
-    then every item runs on the calling thread and no thread is started.
-    Items for which `local(item)` is true need no request (the response
-    cache holds the answer): they run in the calling thread, where they
-    avoid the GIL hand-offs of a worker thread.
-    """
-    items = list(items)
-    if max_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    here = [local is not None and local(item) for item in items]
-    remote = [item for item, h in zip(items, here) if not h]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        fetched = iter(list(pool.map(fn, remote)))
-    return [fn(item) if h else next(fetched) for item, h in zip(items, here)]
-
-
 def generate_each(
-    llm: LLMBackend,
+    llm: CachingLLM,
     requests: Sequence[GenerationRequest],
-    max_workers: int = 1,
     what: str = "requests",
 ) -> list[list[ScoredCompletion]]:
     """Completions per request, in order; `[]` for a request that failed.
 
-    This is the failure policy of every LLM fan-out in the pipeline. A
-    request whose call raises BackendError yields no completions, and each
+    This is the failure policy of every LLM fan-out in the pipeline. Each
+    distinct request is sent once, through one `generate_all`. A request
+    whose call raises BackendError yields no completions, and each
     distinct failed request is logged once, so a caller treats a failure
     as an empty generation, and one summary warning gives the share that
     failed (counted as passed, repeats included), the distinct count and
@@ -272,25 +242,13 @@ def generate_each(
     chained. Failures are not cached, so a stage that runs again sends
     them again. `what` names the requests in these messages, for example
     "word translations".
-
-    Each distinct request is sent once, with up to max_workers in flight.
-    Requests a caching wrapper already holds (its `cached`) are answered
-    in the calling thread; a raw backend has no cache to ask.
     """
-
-    def fetch(request: GenerationRequest):
-        try:
-            return llm.generate(request)
-        except BackendError as exc:
-            log.warning("one of the %s failed (prompt ends %r): %s",
-                        what, request.prompt[-60:], exc)
-            return exc
-
     distinct = list(dict.fromkeys(requests))
-    results = parallel_map(
-        fetch, distinct, max_workers, local=getattr(llm, "cached", None)
-    )
-    by_request = dict(zip(distinct, results))
+    by_request = dict(zip(distinct, llm.generate_all(distinct)))
+    for request, outcome in by_request.items():
+        if isinstance(outcome, BackendError):
+            log.warning("one of the %s failed (prompt ends %r): %s",
+                        what, request.prompt[-60:], outcome)
     outcomes = [by_request[request] for request in requests]
     failed = [outcome for outcome in outcomes if isinstance(outcome, BackendError)]
     if len(failed) * 2 > len(outcomes):

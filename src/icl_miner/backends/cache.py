@@ -2,8 +2,8 @@
 
 Entries live in append-only segment files under the cache root, one line
 per entry; `ResponseCache` documents the format and its limits. The caching
-wrappers let one request per fingerprint through at a time, so identical
-requests in flight together reach the backend once.
+wrappers answer a list of distinct requests at once: they look every one
+up on the calling thread and send only the misses to the backend.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ import logging
 import os
 import threading
 import time
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from ..errors import BackendError
 from .base import (
     EmbeddingBackend,
     EmbeddingVector,
@@ -128,70 +129,68 @@ class ResponseCache:
             self._index[key] = (self._segment, end - len(value) - 1, len(value))
 
 
-class _SingleFlight:
-    """Per-key mutual exclusion: one holder per key, the others wait.
-
-    A caller that held the key while it looked up, fetched and stored an
-    entry leaves it cached, so a waiter that takes the key next finds a
-    hit. After a failure nothing is cached, and the waiter makes its own
-    call.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._held: dict[str, threading.Event] = {}
-
-    @contextmanager
-    def hold(self, key: str):
-        while True:
-            with self._lock:
-                done = self._held.get(key)
-                if done is None:
-                    done = self._held[key] = threading.Event()
-                    break
-            done.wait()
-        try:
-            yield
-        finally:
-            with self._lock:
-                del self._held[key]
-            done.set()
-
-
 class _CachingWrapper:
-    """Cache lookup, single flight and storage shared by the caching wrappers.
+    """Cache lookup, fan-out and storage shared by the caching wrappers.
 
-    A subclass names, in `_payload`, the request fields its keys hash. The
-    key that `cached` computes is kept until the query is answered, so a
-    query checked before it is sent is hashed once.
+    A subclass names, in `_payload`, the request fields its keys hash, and
+    how an answer is stored (`_encode`) and read back (`_decode`). Up to
+    `max_workers` misses are sent at once; give more than 1 only to a
+    backend that waits on a network.
     """
 
-    def __init__(self, backend: LLMBackend | EmbeddingBackend, cache: ResponseCache):
+    def __init__(
+        self, backend: LLMBackend | EmbeddingBackend, cache: ResponseCache,
+        max_workers: int = 1,
+    ):
         self.backend = backend
         self.cache = cache
+        self.max_workers = max_workers
         self.backend_id = backend.backend_id
         self.model_id = backend.model_id
-        self._flights = _SingleFlight()
-        self._checked: dict = {}  # query -> key, from `cached` until answered
 
-    def _key(self, query) -> str:
-        return fingerprint(self.backend_id, self.model_id, self._payload(query))
+    def _answer_all(self, queries: list, fetch) -> list:
+        """The answer to each of the distinct `queries`, in order, or the
+        BackendError that `fetch` raised for it.
 
-    def cached(self, query) -> bool:
-        """Whether the cache already holds the answer to `query`."""
-        key = self._checked[query] = self._key(query)
-        return self.cache.contains(key)
+        Each query is fingerprinted once and looked up on the calling
+        thread; only the misses go to `fetch`, from worker threads when
+        more than one may be in flight. Answers are stored as they come
+        back, in input order; a failure is not stored, so the next call
+        sends it again.
+        """
+        keys = [
+            fingerprint(self.backend_id, self.model_id, self._payload(query))
+            for query in queries
+        ]
+        answers = [
+            None if hit is None else self._decode(hit)
+            for hit in map(self.cache.get, keys)
+        ]
+        misses = [i for i, answer in enumerate(answers) if answer is None]
 
-    def _get_or_fetch(self, query, fetch, encode, decode):
-        """The cached answer to `query`, else `fetch(query)`, stored encoded."""
-        key = self._checked.pop(query, None) or self._key(query)
-        with self._flights.hold(key):
-            hit = self.cache.get(key)
-            if hit is not None:
-                return decode(hit)
-            answer = fetch(query)
-            self.cache.put(key, encode(answer))
-            return answer
+        def attempt(i: int):
+            try:
+                return fetch(queries[i])
+            except BackendError as exc:
+                return exc
+
+        def store(fetched) -> list:
+            for i, answer in zip(misses, fetched):
+                if not isinstance(answer, BackendError):
+                    self.cache.put(keys[i], self._encode(answer))
+                answers[i] = answer
+            return answers
+
+        if self.max_workers > 1 and len(misses) > 1:
+            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
+                return store(pool.map(attempt, misses))
+        return store(map(attempt, misses))
+
+    def _answer(self, query, fetch):
+        [answer] = self._answer_all([query], fetch)
+        if isinstance(answer, BackendError):
+            raise answer
+        return answer
 
 
 class CachingLLM(_CachingWrapper):
@@ -200,17 +199,24 @@ class CachingLLM(_CachingWrapper):
     def _payload(self, request: GenerationRequest) -> dict:
         return request.to_payload()
 
+    def _encode(self, completions: list[ScoredCompletion]) -> dict:
+        return {"completions": [
+            {"text": c.text, "score": c.sequence_score} for c in completions
+        ]}
+
+    def _decode(self, hit: dict) -> list[ScoredCompletion]:
+        return [
+            ScoredCompletion(c["text"], float(c["score"])) for c in hit["completions"]
+        ]
+
+    def generate_all(
+        self, requests: list[GenerationRequest]
+    ) -> list[list[ScoredCompletion] | BackendError]:
+        """The completions of each distinct request, or its BackendError."""
+        return self._answer_all(requests, self.backend.generate)
+
     def generate(self, request: GenerationRequest) -> list[ScoredCompletion]:
-        return self._get_or_fetch(
-            request, self.backend.generate,
-            lambda completions: {"completions": [
-                {"text": c.text, "score": c.sequence_score} for c in completions
-            ]},
-            lambda hit: [
-                ScoredCompletion(c["text"], float(c["score"]))
-                for c in hit["completions"]
-            ],
-        )
+        return self._answer(request, self.backend.generate)
 
 
 class CachingEmbedder(_CachingWrapper):
@@ -219,9 +225,15 @@ class CachingEmbedder(_CachingWrapper):
     def _payload(self, text: str) -> dict:
         return {"embed": text}
 
+    def _encode(self, vector: EmbeddingVector) -> dict:
+        return {"vector": list(vector.values)}
+
+    def _decode(self, hit: dict) -> EmbeddingVector:
+        return EmbeddingVector(tuple(float(v) for v in hit["vector"]))
+
+    def embed_all(self, texts: list[str]) -> list[EmbeddingVector | BackendError]:
+        """The vector of each distinct text, or its BackendError."""
+        return self._answer_all(texts, self.backend.embed)
+
     def embed(self, text: str) -> EmbeddingVector:
-        return self._get_or_fetch(
-            text, self.backend.embed,
-            lambda vector: {"vector": list(vector.values)},
-            lambda hit: EmbeddingVector(tuple(float(v) for v in hit["vector"])),
-        )
+        return self._answer(text, self.backend.embed)

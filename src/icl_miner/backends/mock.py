@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 import unicodedata
 from pathlib import Path
 
@@ -24,8 +23,7 @@ class MockLLMBackend:
 
     One record per prompt: {"prompt": ..., "completions": [{"text": ...,
     "score": ...}, ...]}. A prompt absent from the fixture is an error,
-    never a silent fallback. Calls are counted (thread-safe) so tests can
-    assert cache behavior.
+    never a silent fallback.
     """
 
     backend_id = "mock"
@@ -35,8 +33,6 @@ class MockLLMBackend:
         self.model_id = model_id
         self.fixture_path = str(fixture_path)
         self._responses: dict[str, list[ScoredCompletion]] = {}
-        self._lock = threading.Lock()
-        self._calls = 0
         for lineno, line in enumerate(read_written_lines(fixture_path), start=1):
             if not line.strip():
                 continue
@@ -52,14 +48,7 @@ class MockLLMBackend:
                     f"{fixture_path}:{lineno}: bad fixture record: {exc}"
                 ) from exc
 
-    @property
-    def call_count(self) -> int:
-        with self._lock:
-            return self._calls
-
     def generate(self, request: GenerationRequest) -> list[ScoredCompletion]:
-        with self._lock:
-            self._calls += 1
         completions = self._responses.get(request.prompt)
         if completions is None:
             raise BackendError(

@@ -133,7 +133,7 @@ class Pipeline:
         target = LanguageSpec.from_code(config.target_code, config.target_name or None)
         cache = ResponseCache(config.cache_dir)
         llm, embedder = self._make_llm(), self._make_embedder()
-        self.llm = CachingLLM(llm, cache)
+        self.llm = CachingLLM(llm, cache, self._workers(llm))
         templates = PromptTemplates(
             config.word_zero_shot_template or PromptTemplates.word_zero_shot,
             config.word_shot_header_template or PromptTemplates.word_shot_header,
@@ -143,10 +143,10 @@ class Pipeline:
                     if config.sentence_decoding == "beam" else DecodingMode.greedy())
         self.translator = Translator(
             self.llm, source, target, templates, config.max_word_tokens,
-            config.max_sentence_tokens, decoding, self._workers(llm),
+            config.max_sentence_tokens, decoding,
         )
-        self.embedder = CachingEmbedder(embedder, cache)
-        self.scorer = SimilarityScorer(self.embedder, self._workers(embedder))
+        self.embedder = CachingEmbedder(embedder, cache, self._workers(embedder))
+        self.scorer = SimilarityScorer(self.embedder)
         self._mining_config = word_mining.MiningConfig(
             n=config.n,
             k_wp=config.k_wp,

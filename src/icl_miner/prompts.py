@@ -2,11 +2,11 @@
 
 Shots are rendered in the order given; callers decide whether the best
 example sits first or last (next to the query). A `Translator` holds what
-a request needs for one language pair in one direction (the backend, the
-languages, the templates, the token limits, the sentence decoding and the
-requests in flight) and sends its word and sentence requests through
-`generate_each`, the failure policy of every fan-out; `reverse()` gives
-the same translator in the other direction.
+a request needs for one language pair in one direction (the caching LLM,
+the languages, the templates, the token limits and the sentence decoding)
+and sends its word and sentence requests through `generate_each`, the
+failure policy of every fan-out; `reverse()` gives the same translator in
+the other direction.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from typing import Sequence
 from .backends.base import (
     DecodingMode,
     GenerationRequest,
-    LLMBackend,
     ScoredCompletion,
     StopCondition,
     generate_each,
 )
+from .backends.cache import CachingLLM
 from .corpus import LanguageSpec
 
 
@@ -83,19 +83,17 @@ class Translator:
     Word requests stop at whitespace after at most `max_word_tokens`;
     sentence requests stop at a line break after at most
     `max_sentence_tokens`, decoded with `decoding`. Failures follow
-    `generate_each`, with up to `max_workers` requests in flight; a
-    translator over a local backend keeps 1 and sends every request from
-    the calling thread.
+    `generate_each`; how many requests are in flight is the caching LLM's
+    `max_workers`.
     """
 
-    llm: LLMBackend
+    llm: CachingLLM
     src: LanguageSpec
     trg: LanguageSpec
     templates: PromptTemplates = PromptTemplates()
     max_word_tokens: int = 8
     max_sentence_tokens: int = 256
     decoding: DecodingMode = DecodingMode.greedy()
-    max_workers: int = 1
 
     def reverse(self) -> "Translator":
         """This translator from `trg` to `src`."""
@@ -122,9 +120,7 @@ class Translator:
             )
             for word in words
         ]
-        return generate_each(
-            self.llm, requests, self.max_workers, "word translations"
-        )
+        return generate_each(self.llm, requests, "word translations")
 
     def sentences(
         self,
@@ -154,5 +150,5 @@ class Translator:
                     max_new_tokens=self.max_sentence_tokens,
                 )
             requests.append(request_of[key])
-        results = generate_each(self.llm, requests, self.max_workers, what)
+        results = generate_each(self.llm, requests, what)
         return [completions[0].text if completions else "" for completions in results]

@@ -148,7 +148,7 @@ def back_translate(
     )
     _warn_pairs(
         "back-translation equals its input",
-        [pair.target_text for pair in pairs if pair.similarity == 1.0],
+        [sentence for text, sentence in kept if text == sentence],
     )
     return MinedPool(pairs=pairs, iteration=iteration)
 

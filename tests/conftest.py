@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from icl_miner.backends import MockLLMBackend, TrigramHashEmbedder
+from icl_miner.backends import (
+    CachingEmbedder,
+    CachingLLM,
+    MockLLMBackend,
+    ResponseCache,
+    SimilarityScorer,
+    TrigramHashEmbedder,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +53,20 @@ def backend_threads(monkeypatch) -> dict[str, set[int]]:
 
 
 @pytest.fixture
+def llm_calls(monkeypatch) -> list[str]:
+    """The prompt of every request sent to a mock LLM, from this fixture on."""
+    prompts: list[str] = []
+    original = MockLLMBackend.generate
+
+    def counting(self, request):
+        prompts.append(request.prompt)
+        return original(self, request)
+
+    monkeypatch.setattr(MockLLMBackend, "generate", counting)
+    return prompts
+
+
+@pytest.fixture
 def remote_mocks(monkeypatch, backend_threads) -> dict[str, set[int]]:
     """Declare the mock LLM and the trigram embedder remote, as an HTTP
     backend is, so that a pipeline at concurrency above 1 sends their
@@ -63,6 +84,18 @@ def write_file(tmp_path: Path):
         return path
 
     return _write
+
+
+def behind_cache(backend, root: Path, max_workers: int = 1):
+    """`backend` behind its caching wrapper, over a response cache in
+    `root`/cache."""
+    wrapper = CachingEmbedder if hasattr(backend, "embed") else CachingLLM
+    return wrapper(backend, ResponseCache(root / "cache"), max_workers)
+
+
+def trigram_scorer(root: Path) -> SimilarityScorer:
+    """A similarity scorer over the trigram embedder, cached in `root`/cache."""
+    return SimilarityScorer(behind_cache(TrigramHashEmbedder(), root))
 
 
 def repo_root() -> Path:

@@ -32,14 +32,13 @@ from icl_miner.backends import (
     TrigramHashEmbedder,
     cosine,
     fingerprint,
-    parallel_map,
 )
 from icl_miner.backends import cache as cache_module
 from icl_miner.backends import http
 from icl_miner.backends.base import generate_each
 from icl_miner.errors import BackendError, BackendRejected
 
-from conftest import repo_root
+from conftest import behind_cache, repo_root, trigram_scorer
 
 
 # Puts n entries, then dies in the middle of writing one more line.
@@ -144,13 +143,6 @@ class TestMockLLM:
             prompt="Q", num_samples=1, stop=StopCondition.whitespace()
         )
         assert backend.generate(request)[0].text == "le"
-
-    def test_call_counter(self, simple_fixture):
-        backend = MockLLMBackend(simple_fixture)
-        assert backend.call_count == 0
-        backend.generate(GenerationRequest(prompt="P"))
-        backend.generate(GenerationRequest(prompt="Q"))
-        assert backend.call_count == 2
 
     def test_repeated_calls_identical(self, simple_fixture):
         backend = MockLLMBackend(simple_fixture)
@@ -266,20 +258,22 @@ class TestCosine:
 
 
 class TestSimilarityScorer:
-    def test_identical_input_sim_1(self):
-        scorer = SimilarityScorer(TrigramHashEmbedder())
+    def test_identical_input_sim_1(self, tmp_path):
+        scorer = trigram_scorer(tmp_path)
         assert scorer.sim("same text", "same text") == pytest.approx(1.0, abs=1e-12)
 
-    def test_symmetry(self):
-        scorer = SimilarityScorer(TrigramHashEmbedder())
+    def test_symmetry(self, tmp_path):
+        scorer = trigram_scorer(tmp_path)
         assert scorer.sim("one text", "two text") == scorer.sim("two text", "one text")
 
-    def test_empty_text_rejected(self):
-        scorer = SimilarityScorer(TrigramHashEmbedder())
+    def test_empty_text_rejected(self, tmp_path):
+        scorer = trigram_scorer(tmp_path)
         with pytest.raises(BackendError):
             scorer.sim("", "x")
+        with pytest.raises(BackendError, match="cannot embed empty text"):
+            scorer.sims([("x", "")])
 
-    def test_memoizes_embeddings(self):
+    def test_memoizes_embeddings(self, tmp_path):
         calls = []
 
         class CountingEmbedder:
@@ -290,12 +284,12 @@ class TestSimilarityScorer:
                 calls.append(text)
                 return EmbeddingVector((1.0, 0.0))
 
-        scorer = SimilarityScorer(CountingEmbedder())
+        scorer = SimilarityScorer(behind_cache(CountingEmbedder(), tmp_path))
         scorer.sim("a", "b")
         scorer.sim("a", "b")
         assert calls == ["a", "b"]
 
-    def test_sims_embeds_distinct_texts_concurrently(self):
+    def test_sims_embeds_distinct_texts_concurrently(self, tmp_path):
         calls, in_flight, peak = [], [0], [0]
         lock = threading.Lock()
 
@@ -313,37 +307,19 @@ class TestSimilarityScorer:
                     in_flight[0] -= 1
                 return EmbeddingVector((float(ord(text)), 1.0))
 
-        scorer = SimilarityScorer(SlowEmbedder(), max_workers=3)
+        scorer = SimilarityScorer(behind_cache(SlowEmbedder(), tmp_path, max_workers=3))
         pairs = [("a", "b"), ("b", "c"), ("a", "c"), ("d", "a")]
         assert scorer.sims(pairs) == [scorer.sim(x, y) for x, y in pairs]
         assert sorted(calls) == ["a", "b", "c", "d"]
         assert 1 < peak[0] <= 3
 
 
-class TestParallelMap:
-    def test_order_kept_and_local_items_run_in_calling_thread(self):
-        threads = {}
-
-        def fn(x):
-            threads[x] = threading.get_ident()
-            time.sleep(0.01)
-            return x * 10
-
-        items = list(range(8))
-        got = parallel_map(fn, items, max_workers=3, local=lambda x: x % 2 == 0)
-        assert got == [x * 10 for x in items]
-        caller = threading.get_ident()
-        assert all(threads[x] == caller for x in items if x % 2 == 0)
-        assert all(threads[x] != caller for x in items if x % 2 == 1)
-
-
 class TestGenerateEach:
-    def test_distinct_requests_once_and_cache_hits_in_calling_thread(self):
+    def test_distinct_requests_once_and_cache_hits_in_calling_thread(self, tmp_path):
         calls = []
 
         class FakeLLM:
-            def cached(self, request):
-                return request.prompt == "hit"
+            backend_id, model_id = "fake", "m"
 
             def generate(self, request):
                 calls.append((request.prompt, threading.get_ident()))
@@ -352,16 +328,17 @@ class TestGenerateEach:
                     raise BackendError("down")
                 return [ScoredCompletion(request.prompt.upper(), 0.0)]
 
+        llm = behind_cache(FakeLLM(), tmp_path, max_workers=2)
+        llm.generate(GenerationRequest(prompt="hit"))
+        calls.clear()
         prompts = ["hit", "b", "bad", "b", "hit"]
-        got = generate_each(
-            FakeLLM(), [GenerationRequest(prompt=p) for p in prompts], max_workers=2
-        )
+        got = generate_each(llm, [GenerationRequest(prompt=p) for p in prompts])
         assert [r[0].text if r else None for r in got] == [
             "HIT", "B", None, "B", "HIT"
         ]
-        assert sorted(prompt for prompt, _ in calls) == ["b", "bad", "hit"]
-        caller = threading.get_ident()
-        assert all((thread == caller) == (p == "hit") for p, thread in calls)
+        # the hit is answered from the cache; the two misses go to workers
+        assert sorted(prompt for prompt, _ in calls) == ["b", "bad"]
+        assert threading.get_ident() not in {thread for _, thread in calls}
 
     class Failing:
         """Raw backend that rejects every prompt starting with "bad"."""
@@ -378,10 +355,13 @@ class TestGenerateEach:
             return [ScoredCompletion(request.prompt.upper(), 0.0)]
 
     @pytest.mark.parametrize("max_workers", [1, 4])
-    def test_exactly_half_failing_is_tolerated_and_one_more_aborts(self, max_workers):
+    def test_exactly_half_failing_is_tolerated_and_one_more_aborts(
+        self, tmp_path, max_workers
+    ):
         def run(prompts):
             requests = [GenerationRequest(prompt=p) for p in prompts]
-            return generate_each(self.Failing(), requests, max_workers, "lines")
+            llm = behind_cache(self.Failing(), tmp_path, max_workers)
+            return generate_each(llm, requests, "lines")
 
         got = run(["ok", "bad", "ok2", "bad"])
         ok, ok2 = [ScoredCompletion("OK", 0.0)], [ScoredCompletion("OK2", 0.0)]
@@ -391,7 +371,9 @@ class TestGenerateEach:
             run(["ok", "bad", "ok2", "bad", "bad"])
 
     @pytest.mark.parametrize("max_workers", [1, 4])
-    def test_abort_is_chained_from_first_failure_in_input_order(self, max_workers):
+    def test_abort_is_chained_from_first_failure_in_input_order(
+        self, tmp_path, max_workers
+    ):
         class SlowFirst(self.Failing):
             def generate(self, request):
                 if request.prompt == "bad-first":
@@ -401,22 +383,26 @@ class TestGenerateEach:
         prompts = ("ok", "bad-first", "bad-second")
         requests = [GenerationRequest(prompt=p) for p in prompts]
         with pytest.raises(BackendError, match=r"2/3 .* rejected bad-first") as info:
-            generate_each(SlowFirst(), requests, max_workers)
+            generate_each(behind_cache(SlowFirst(), tmp_path, max_workers), requests)
         assert isinstance(info.value.__cause__, BackendRejected)
         assert str(info.value.__cause__) == "rejected bad-first"
 
     def test_failed_request_is_sent_once_and_not_cached(self, tmp_path, caplog):
         backend = self.Failing()
-        llm = CachingLLM(backend, ResponseCache(tmp_path / "cache"))
+        llm = behind_cache(backend, tmp_path, max_workers=4)
         bad, ok = GenerationRequest(prompt="bad"), GenerationRequest(prompt="ok")
-        got = generate_each(llm, [bad, ok, bad, ok], max_workers=4)
+        got = generate_each(llm, [bad, ok, bad, ok])
         assert got == [[], [ScoredCompletion("OK", 0.0)]] * 2
         assert sorted(backend.calls) == ["bad", "ok"]
         failures = [r for r in caplog.records if "rejected bad" in r.getMessage()]
         assert len(failures) == 1  # the distinct failure, logged once
-        assert llm.cached(ok) and not llm.cached(bad)
+        stored = [
+            llm.cache.contains(fingerprint("failing", "m", request.to_payload()))
+            for request in (ok, bad)
+        ]
+        assert stored == [True, False]
         # a second call gets the success from the cache and sends the failure again
-        generate_each(llm, [bad, ok], max_workers=4)
+        generate_each(llm, [bad, ok])
         assert sorted(backend.calls) == ["bad", "bad", "ok"]
 
     def test_each_distinct_request_is_fingerprinted_once(self, tmp_path, monkeypatch):
@@ -438,23 +424,24 @@ class TestGenerateEach:
 
         monkeypatch.setattr(cache_module, "fingerprint", counting)
         cache = ResponseCache(tmp_path / "cache")
-        llm = CachingLLM(RemoteLLM(), cache)
-        scorer = SimilarityScorer(CachingEmbedder(RemoteEmbedder(), cache), max_workers=4)
+        llm = CachingLLM(RemoteLLM(), cache, max_workers=4)
+        scorer = SimilarityScorer(CachingEmbedder(RemoteEmbedder(), cache, max_workers=4))
         requests = [GenerationRequest(prompt=p) for p in ("a", "b", "a", "c")]
         for run in ("cold", "warm"):  # misses, then hits
             hashed.clear()
-            generate_each(llm, requests, max_workers=4)
+            generate_each(llm, requests)
             assert len(hashed) == len(set(hashed)) == 3, run
         hashed.clear()
         scorer.sims([("a", "b"), ("b", "c"), ("c", "a")])
         assert len(hashed) == len(set(hashed)) == 3
 
     @pytest.mark.parametrize("max_workers", [1, 4])
-    def test_partial_failure_is_summed_up_once(self, caplog, max_workers):
+    def test_partial_failure_is_summed_up_once(self, tmp_path, caplog, max_workers):
         bad, ok, fine = (GenerationRequest(prompt=p) for p in ("bad", "ok", "fine"))
-        generate_each(self.Failing(), [ok, fine], max_workers, "lines")
+        llm = behind_cache(self.Failing(), tmp_path, max_workers)
+        generate_each(llm, [ok, fine], "lines")
         assert caplog.records == []
-        generate_each(self.Failing(), [bad, ok, bad, fine], max_workers, "lines")
+        generate_each(llm, [bad, ok, bad, fine], "lines")
         summaries = [r.getMessage() for r in caplog.records if "/4 lines" in r.getMessage()]
         assert summaries == [
             "2/4 lines failed (1 distinct; BackendRejected: 2); their outputs are empty"
@@ -609,7 +596,7 @@ class TestResponseCache:
 
 
 class TestCachingWrappers:
-    def test_second_call_hits_cache(self, tmp_path, simple_fixture):
+    def test_second_call_hits_cache(self, tmp_path, simple_fixture, llm_calls):
         backend = MockLLMBackend(simple_fixture)
         caching = CachingLLM(backend, ResponseCache(tmp_path / "cache"))
         request = GenerationRequest(prompt="P", num_samples=2,
@@ -617,19 +604,19 @@ class TestCachingWrappers:
         first = caching.generate(request)
         second = caching.generate(request)
         assert first == second
-        assert backend.call_count == 1
+        assert len(llm_calls) == 1
 
-    def test_cache_shared_across_instances(self, tmp_path, simple_fixture):
+    def test_cache_shared_across_instances(self, tmp_path, simple_fixture, llm_calls):
         cache_dir = tmp_path / "cache"
         request = GenerationRequest(prompt="P", num_samples=2,
                                     mode=DecodingMode.random_sampling(seed=0))
         CachingLLM(MockLLMBackend(simple_fixture), ResponseCache(cache_dir)).generate(
             request
         )
-        fresh_backend = MockLLMBackend(simple_fixture)
-        fresh = CachingLLM(fresh_backend, ResponseCache(cache_dir))
+        assert len(llm_calls) == 1
+        fresh = CachingLLM(MockLLMBackend(simple_fixture), ResponseCache(cache_dir))
         fresh.generate(request)
-        assert fresh_backend.call_count == 0
+        assert len(llm_calls) == 1
 
     def test_embedding_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -664,88 +651,115 @@ class TestCachingWrappers:
             t.join()
         assert all(r == results[0] for r in results)
 
-    @staticmethod
-    def _slow_backend(fail_first: bool = False):
-        """LLM and embedder in one: each call sleeps, then counts itself."""
 
-        class SlowBackend:
-            backend_id = "slow"
-            model_id = "slow"
+class TestAnswerAll:
+    """The one lookup-then-fetch path of both caching wrappers."""
 
-            def __init__(self):
-                self.calls = 0
-                self.lock = threading.Lock()
+    class Slow:
+        """LLM and embedder in one: each call sleeps and records how many
+        calls were in flight at once; prompts and texts starting with "bad"
+        are rejected."""
 
-            def _call(self):
-                time.sleep(0.05)
-                with self.lock:
-                    self.calls += 1
-                    if fail_first and self.calls == 1:
-                        raise BackendError("transient")
+        backend_id, model_id = "slow", "m"
 
-            def generate(self, request):
-                self._call()
-                return [ScoredCompletion("chat", -1.0)]
+        def __init__(self):
+            self.sent, self.threads = [], set()
+            self.in_flight = self.peak = 0
+            self.lock = threading.Lock()
 
-            def embed(self, text):
-                self._call()
-                return EmbeddingVector((0.6, 0.8))
+        def _call(self, query):
+            with self.lock:
+                self.sent.append(query)
+                self.threads.add(threading.get_ident())
+                self.in_flight += 1
+                self.peak = max(self.peak, self.in_flight)
+            time.sleep(0.02)
+            with self.lock:
+                self.in_flight -= 1
+            if query.startswith("bad"):
+                raise BackendRejected(f"rejected {query}")
 
-        return SlowBackend()
+        def generate(self, request):
+            self._call(request.prompt)
+            return [ScoredCompletion(request.prompt.upper(), -1.0)]
 
-    @staticmethod
-    def _in_threads(fn, n=6):
-        """Run fn in n threads at once, switching threads often."""
-        results, errors = [], []
+        def embed(self, text):
+            self._call(text)
+            return EmbeddingVector((float(len(text)), 1.0))
 
-        def run():
-            try:
-                results.append(fn())
-            except BackendError as exc:
-                errors.append(exc)
+    def test_hits_are_read_on_the_calling_thread(self, tmp_path, monkeypatch):
+        backend = self.Slow()
+        llm = CachingLLM(backend, ResponseCache(tmp_path / "cache"), max_workers=4)
+        requests = [GenerationRequest(prompt=p) for p in ("a", "b", "c", "d")]
+        llm.generate_all(requests[:2])
+        readers = set()
+        get = ResponseCache.get
 
-        threads = [threading.Thread(target=run) for _ in range(n)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        return results, errors
+        def recording(cache, key):
+            readers.add(threading.get_ident())
+            return get(cache, key)
 
-    def test_identical_generates_in_flight_reach_backend_once(self, tmp_path):
-        backend = self._slow_backend()
-        caching = CachingLLM(backend, ResponseCache(tmp_path / "cache"))
-        results, errors = self._in_threads(
-            lambda: caching.generate(GenerationRequest(prompt="P"))
-        )
-        assert backend.calls == 1
-        assert not errors
-        assert results == [[ScoredCompletion("chat", -1.0)]] * 6
+        monkeypatch.setattr(ResponseCache, "get", recording)
+        backend.threads.clear()
+        got = llm.generate_all(requests)
+        assert [completions[0].text for completions in got] == ["A", "B", "C", "D"]
+        assert backend.sent == ["a", "b", "c", "d"]  # c and d once each
+        caller = threading.get_ident()
+        assert readers == {caller}
+        assert caller not in backend.threads
 
-    def test_identical_embeds_in_flight_reach_backend_once(self, tmp_path):
-        backend = self._slow_backend()
-        caching = CachingEmbedder(backend, ResponseCache(tmp_path / "cache"))
-        results, errors = self._in_threads(lambda: caching.embed("x"))
-        assert backend.calls == 1
-        assert not errors
-        assert results == [EmbeddingVector((0.6, 0.8))] * 6
+    def test_at_most_max_workers_misses_in_flight(self, tmp_path):
+        backend = self.Slow()
+        embedder = CachingEmbedder(backend, ResponseCache(tmp_path / "cache"), 3)
+        texts = [f"text {i}" for i in range(8)]
+        assert embedder.embed_all(texts) == [backend.embed(t) for t in texts]
+        assert 1 < backend.peak <= 3
 
-    def test_failure_is_not_shared_with_waiters(self, tmp_path):
-        backend = self._slow_backend(fail_first=True)
-        caching = CachingLLM(backend, ResponseCache(tmp_path / "cache"))
-        results, errors = self._in_threads(
-            lambda: caching.generate(GenerationRequest(prompt="P"))
-        )
-        # the failed call is not cached: the next waiter calls again and
-        # the rest read its cached result
-        assert backend.calls == 2
-        assert len(errors) == 1
-        assert len(results) == 5
+    @pytest.mark.parametrize("max_workers, prompts", [
+        (1, ("a", "b", "c")),  # one in flight
+        (4, ("a",)),  # one miss
+    ])
+    def test_no_executor_for_one_worker_or_one_miss(
+        self, tmp_path, monkeypatch, max_workers, prompts
+    ):
+        pools = []
+        monkeypatch.setattr(cache_module, "ThreadPoolExecutor",
+                            lambda *a, **k: pools.append(k))
+        backend = self.Slow()
+        llm = CachingLLM(backend, ResponseCache(tmp_path / "cache"), max_workers)
+        got = llm.generate_all([GenerationRequest(prompt=p) for p in prompts])
+        assert [completions[0].text for completions in got] == [p.upper() for p in prompts]
+        assert pools == []
+        assert backend.threads == {threading.get_ident()}
+
+    def test_each_query_is_fingerprinted_once(self, tmp_path, monkeypatch):
+        hashed = []
+
+        def counting(backend_id, model_id, payload):
+            hashed.append(payload["embed"])
+            return fingerprint(backend_id, model_id, payload)
+
+        monkeypatch.setattr(cache_module, "fingerprint", counting)
+        embedder = CachingEmbedder(self.Slow(), ResponseCache(tmp_path / "cache"), 4)
+        for run in ("cold", "warm"):  # misses, then hits
+            hashed.clear()
+            embedder.embed_all(["x", "y", "z"])
+            assert hashed == ["x", "y", "z"], run
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_failure_is_returned_not_stored_and_sent_again(self, tmp_path, max_workers):
+        backend = self.Slow()
+        llm = CachingLLM(backend, ResponseCache(tmp_path / "cache"), max_workers)
+        bad, ok = GenerationRequest(prompt="bad"), GenerationRequest(prompt="ok")
+        failure, answer = llm.generate_all([bad, ok])
+        assert isinstance(failure, BackendRejected)
+        assert str(failure) == "rejected bad"
+        assert answer == [ScoredCompletion("OK", -1.0)]
+        assert not llm.cache.contains(fingerprint("slow", "m", bad.to_payload()))
+        with pytest.raises(BackendRejected, match="rejected bad"):
+            llm.generate(bad)
+        assert llm.generate(ok) == answer
+        assert backend.sent == ["bad", "ok", "bad"]
 
 
 # --------------------------------------------------------------------------

@@ -143,7 +143,7 @@ class TestMineWords:
         assert set(record["inputs"]) == {"source_vocab", "target_vocab"}
         assert record["backend"]["id"] == "mock"
 
-    def test_rerun_with_warm_cache_identical_and_no_calls(self, tmp_path):
+    def test_rerun_with_warm_cache_identical_and_no_calls(self, tmp_path, llm_calls):
         main(toy_args("mine-words", tmp_path))
         lexicon = run_dir(tmp_path) / "lexicon.tsv"
         first = lexicon.read_bytes()
@@ -163,8 +163,9 @@ class TestMineWords:
              "cache_dir": str(tmp_path / "cache")},
         )
         pipeline = Pipeline(config)
+        llm_calls.clear()
         pipeline.mine_words()
-        assert pipeline.llm.backend.call_count == 0
+        assert len(llm_calls) == 0
 
 
 class TestMineSentences:
@@ -179,7 +180,7 @@ class TestMineSentences:
         mono_lines = (TOY / "mono.zor.txt").read_text(encoding="utf-8").splitlines()
         assert len(pool_lines) <= len(mono_lines)
 
-    def test_changed_tau_reuses_cached_generations(self, tmp_path):
+    def test_changed_tau_reuses_cached_generations(self, tmp_path, llm_calls):
         assert main(toy_args("mine-sentences", tmp_path)) == 0
         config = load_config(
             TOY_INI,
@@ -188,10 +189,11 @@ class TestMineSentences:
              "tau": 0.5},
         )
         pipeline = Pipeline(config)
+        llm_calls.clear()
         with RunLock(pipeline.run_dir):
             pipeline.mine_sentences()
         # tau only affects selection, so all generations came from the cache
-        assert pipeline.llm.backend.call_count == 0
+        assert len(llm_calls) == 0
         manifest = json.loads(
             (pipeline.run_dir / "pool.jsonl.manifest.json").read_text()
         )

@@ -19,7 +19,9 @@ def read_tree(root: Path) -> dict[str, bytes]:
     }
 
 
-def test_toy_run_matches_golden_at_concurrency_1_and_8(tmp_path, toy_dir, remote_mocks):
+def test_toy_run_matches_golden_at_concurrency_1_and_8(
+    tmp_path, toy_dir, remote_mocks, llm_calls
+):
     # the toy backends, declared remote, are sent requests from worker
     # threads at concurrency 8, as HTTP backends are
     golden = read_tree(toy_dir / "golden" / GOLDEN_RUN)
@@ -27,6 +29,7 @@ def test_toy_run_matches_golden_at_concurrency_1_and_8(tmp_path, toy_dir, remote
     for concurrency in (1, 8):
         for seen in remote_mocks.values():
             seen.clear()
+        llm_calls.clear()
         work = tmp_path / f"concurrency-{concurrency}"
         config = load_config(toy_dir / "toy.ini", {
             "output_dir": str(work / "out"),
@@ -41,7 +44,7 @@ def test_toy_run_matches_golden_at_concurrency_1_and_8(tmp_path, toy_dir, remote
         assert sorted(got) == sorted(golden)
         for name, data in golden.items():
             assert got[name] == data, f"{name} differs at concurrency {concurrency}"
-        calls[concurrency] = pipeline.llm.backend.call_count
+        calls[concurrency] = len(llm_calls)
         for layer, seen in remote_mocks.items():
             workers = seen - {threading.get_ident()}
             assert bool(workers) == (concurrency > 1), (layer, concurrency)

@@ -86,7 +86,9 @@ def test_resume_rewrites_only_the_stale_stage(
     assert bool(worker_threads(remote_mocks)) == (concurrency > 1)
 
 
-def test_warm_run_sends_no_request_and_writes_no_cache_file(tmp_path, toy_dir):
+def test_warm_run_sends_no_request_and_writes_no_cache_file(
+    tmp_path, toy_dir, llm_calls
+):
     ini = toy_dir / "toy.ini"
     cold = toy_pipeline(ini, tmp_path)
     cold.run_all()
@@ -95,8 +97,9 @@ def test_warm_run_sends_no_request_and_writes_no_cache_file(tmp_path, toy_dir):
     assert [path.name.startswith("seg-") for path in files] == [True]
 
     warm = toy_pipeline(ini, tmp_path, output_dir=str(tmp_path / "warm"))
+    llm_calls.clear()
     warm.run_all()
-    assert warm.llm.backend.call_count == 0
+    assert len(llm_calls) == 0
     assert sorted(cache.rglob("*")) == files
     assert {
         path.name: path.read_bytes() for path in warm.run_dir.iterdir()
@@ -389,7 +392,7 @@ def test_mock_run_at_concurrency_8_starts_no_thread(tmp_path, toy_dir, monkeypat
         pools.append(kwargs)
         return ThreadPoolExecutor(*args, **kwargs)
 
-    monkeypatch.setattr(backends.base, "ThreadPoolExecutor", counting_pool)
+    monkeypatch.setattr(backends.cache, "ThreadPoolExecutor", counting_pool)
     toy_pipeline(toy_dir / "toy.ini", tmp_path, 8).run_all()
     assert pools == []
 
@@ -418,7 +421,7 @@ def test_concurrency_bounds_only_network_backends(
         toy_dir / "toy.ini", tmp_path, 8,
         backend_kind=llm, embedding_kind=embedding, base_url="http://127.0.0.1:1/v1",
     )
-    assert (pipeline.translator.max_workers, pipeline.scorer.max_workers) == workers
+    assert (pipeline.llm.max_workers, pipeline.embedder.max_workers) == workers
 
 
 def test_best_first_reverses_the_shots_of_ranked_policies_only(

@@ -10,25 +10,28 @@ from dataclasses import replace
 import pytest
 
 from icl_miner import prompts
-from icl_miner.backends import DecodingMode, MockLLMBackend
+from icl_miner.backends import CachingLLM, DecodingMode, MockLLMBackend
 from icl_miner.corpus import LanguageSpec
 from icl_miner.errors import BackendError
 from icl_miner.prompts import PromptTemplates, Translator, sentence_translation_prompt
+
+from conftest import behind_cache
 
 AVA = LanguageSpec(code="ava_Latn", display_name="Avalian")
 ZOR = LanguageSpec(code="zor_Latn", display_name="Zorvan")
 SHOTS = [("luma", "lumak")]
 
 
-def sentence_backend(tmp_path, answers: dict[str, str]) -> MockLLMBackend:
-    """A fixture answering each Avalian sentence, under SHOTS, with its text."""
+def sentence_backend(tmp_path, answers: dict[str, str]) -> CachingLLM:
+    """A cached mock LLM answering each Avalian sentence, under SHOTS, with
+    its text."""
     path = tmp_path / "sentences.jsonl"
     with path.open("w", encoding="utf-8") as fh:
         for sentence, text in answers.items():
             prompt = sentence_translation_prompt(sentence, "Avalian", "Zorvan", SHOTS)
             record = {"prompt": prompt, "completions": [{"text": text, "score": -1.0}]}
             fh.write(json.dumps(record) + "\n")
-    return MockLLMBackend(path)
+    return behind_cache(MockLLMBackend(path), tmp_path)
 
 
 def test_repeated_lines_render_one_prompt(tmp_path, monkeypatch):
@@ -63,7 +66,6 @@ def test_reverse_swaps_only_the_languages(tmp_path):
     translator = Translator(
         sentence_backend(tmp_path, {}), AVA, ZOR, PromptTemplates(sentence_header="h"),
         max_word_tokens=3, max_sentence_tokens=30, decoding=DecodingMode.beam(2),
-        max_workers=4,
     )
     reverse = translator.reverse()
     assert (reverse.src, reverse.trg) == (ZOR, AVA)

@@ -11,7 +11,7 @@ import pytest
 
 from icl_miner import bm25
 
-from icl_miner.backends import MockLLMBackend, SimilarityScorer, TrigramHashEmbedder
+from icl_miner.backends import EmbeddingVector, MockLLMBackend, SimilarityScorer
 from icl_miner.bm25 import tokenize
 from icl_miner.config import PipelineConfig
 from icl_miner.corpus import LanguageSpec
@@ -33,12 +33,14 @@ from icl_miner.sentence_mining import (
 )
 from icl_miner.w2w import W2wCorpus
 
+from conftest import behind_cache, trigram_scorer
+
 AVA = LanguageSpec(code="ava_Latn", display_name="Avalian")
 ZOR = LanguageSpec(code="zor_Latn", display_name="Zorvan")
 
 
-def ava_to_zor(llm):
-    return Translator(llm, AVA, ZOR)
+def ava_to_zor(llm, tmp_path):
+    return Translator(behind_cache(llm, tmp_path), AVA, ZOR)
 
 
 def make_pool(sims, texts=None, origin="mined"):
@@ -59,7 +61,9 @@ def make_w2w(entries):
 
 
 class TestBacktranslationShots:
-    scorer = SimilarityScorer(TrigramHashEmbedder())
+    @pytest.fixture(autouse=True)
+    def setup(self, tmp_path):
+        self.scorer = trigram_scorer(tmp_path)
 
     def test_first_k_orientation(self):
         w2w = make_w2w([(f"orig {i}", f"rend {i}") for i in range(10)])
@@ -104,9 +108,10 @@ def backtranslation_backend(tmp_path, d_u, shots, rule):
 
 
 class TestBackTranslate:
-    def setup_method(self):
+    @pytest.fixture(autouse=True)
+    def setup(self, tmp_path):
         self.shots = [("rend a", "orig a")]
-        self.scorer = SimilarityScorer(TrigramHashEmbedder())
+        self.scorer = trigram_scorer(tmp_path)
 
     def test_pool_size_matches_corpus(self, tmp_path):
         sentences = [f"zorvan sentence {i}" for i in range(9)]
@@ -114,7 +119,7 @@ class TestBackTranslate:
             tmp_path, sentences, self.shots, lambda s: s.replace("zorvan", "avalian")
         )
         d_u = tuple(sentences)
-        pool = back_translate(d_u, self.shots, ava_to_zor(llm), self.scorer)
+        pool = back_translate(d_u, self.shots, ava_to_zor(llm, tmp_path), self.scorer)
         assert len(pool) == 9
         assert pool.iteration == 1
 
@@ -123,7 +128,7 @@ class TestBackTranslate:
             tmp_path, ["zor text"], self.shots, lambda s: "ava text"
         )
         d_u = ("zor text",)
-        pool = back_translate(d_u, self.shots, ava_to_zor(llm), self.scorer)
+        pool = back_translate(d_u, self.shots, ava_to_zor(llm, tmp_path), self.scorer)
         pair = pool.pairs[0]
         assert pair.source_text == "ava text"
         assert pair.target_text == "zor text"
@@ -132,7 +137,7 @@ class TestBackTranslate:
     def test_copy_generation_still_forms_pair(self, tmp_path):
         llm = backtranslation_backend(tmp_path, ["same"], self.shots, lambda s: s)
         d_u = ("same",)
-        pool = back_translate(d_u, self.shots, ava_to_zor(llm), self.scorer)
+        pool = back_translate(d_u, self.shots, ava_to_zor(llm, tmp_path), self.scorer)
         assert pool.pairs[0].similarity == pytest.approx(1.0)
 
     def test_empty_generation_dropped(self, tmp_path):
@@ -140,20 +145,20 @@ class TestBackTranslate:
             tmp_path, ["a", "b"], self.shots, lambda s: "" if s == "a" else "ok"
         )
         d_u = ("a", "b")
-        pool = back_translate(d_u, self.shots, ava_to_zor(llm), self.scorer)
+        pool = back_translate(d_u, self.shots, ava_to_zor(llm, tmp_path), self.scorer)
         assert len(pool) == 1
 
 
-    def test_repeated_sentence_sent_once(self, tmp_path):
+    def test_repeated_sentence_sent_once(self, tmp_path, llm_calls):
         sentences = ["zor a", "zor b", "zor a", "zor a"]
         llm = backtranslation_backend(
             tmp_path, sentences, self.shots, lambda s: s.replace("zor", "ava")
         )
         d_u = tuple(sentences)
-        pool = back_translate(d_u, self.shots, ava_to_zor(llm), self.scorer)
+        pool = back_translate(d_u, self.shots, ava_to_zor(llm, tmp_path), self.scorer)
         texts = [p.source_text for p in pool.pairs]
         assert texts == ["ava a", "ava b", "ava a", "ava a"]
-        assert llm.call_count == 2
+        assert len(llm_calls) == 2
 
     def test_one_warning_per_kind_and_round(self, tmp_path, caplog):
         sentences = ["zor a", "same", "zor b", "same", "zor a", "same", "zor a"]
@@ -163,12 +168,37 @@ class TestBackTranslate:
         )
         with caplog.at_level(logging.WARNING, logger="icl_miner.sentence_mining"):
             pool = back_translate(
-                tuple(sentences), self.shots, ava_to_zor(llm), self.scorer
+                tuple(sentences), self.shots, ava_to_zor(llm, tmp_path), self.scorer
             )
         assert [p.target_text for p in pool.pairs] == ["same", "zor b", "same", "same"]
         assert [record.getMessage() for record in caplog.records] == [
             "no back-translation; dropped: 3 pairs, 1 distinct, e.g. 'zor a'",
             "back-translation equals its input: 3 pairs, 1 distinct, e.g. 'same'",
+        ]
+
+
+    def test_identity_warning_compares_texts_not_similarity(self, tmp_path, caplog):
+        # every text gets the same unnormalized vector, whose cosine with
+        # itself rounds to 0.9999999999999998: a copy is flagged by text,
+        # and a distinct text is not flagged for its equal vector
+        class FlatEmbedder:
+            backend_id, model_id = "flat", "m"
+
+            def embed(self, text):
+                return EmbeddingVector((1.0, 1.0))
+
+        llm = backtranslation_backend(
+            tmp_path, ["same", "zor b"], self.shots,
+            lambda s: s if s == "same" else "ava b",
+        )
+        scorer = SimilarityScorer(behind_cache(FlatEmbedder(), tmp_path))
+        with caplog.at_level(logging.WARNING, logger="icl_miner.sentence_mining"):
+            pool = back_translate(
+                ("same", "zor b"), self.shots, ava_to_zor(llm, tmp_path), scorer
+            )
+        assert [p.similarity for p in pool.pairs] == [0.9999999999999998] * 2
+        assert [record.getMessage() for record in caplog.records] == [
+            "back-translation equals its input: 1 pairs, 1 distinct, e.g. 'same'",
         ]
 
 
@@ -392,7 +422,7 @@ class TestMineExamples:
     def _setup(self, tmp_path, iterations):
         sentences = [f"zor {i} text" for i in range(6)]
         w2w = make_w2w([(f"ava {i} text", f"zrend {i} text") for i in range(4)])
-        scorer = SimilarityScorer(TrigramHashEmbedder())
+        scorer = trigram_scorer(tmp_path)
         shots1 = select_backtranslation_shots(w2w, 2, scorer)
         rule = lambda s: s.replace("zor", "ava")
         records = {}
@@ -431,27 +461,28 @@ class TestMineExamples:
                 )
         llm = MockLLMBackend(path)
         d_u = tuple(sentences)
-        return d_u, w2w, llm, SimilarityScorer(TrigramHashEmbedder())
+        return d_u, w2w, llm, trigram_scorer(tmp_path)
 
     def test_single_iteration_equals_back_translate(self, tmp_path):
         d_u, w2w, llm, scorer = self._setup(tmp_path, 1)
-        pool = mine_examples(d_u, w2w, 2, ava_to_zor(llm), scorer, iterations=1)
+        pool = mine_examples(d_u, w2w, 2, ava_to_zor(llm, tmp_path), scorer, iterations=1)
         shots = select_backtranslation_shots(w2w, 2, scorer)
-        direct = back_translate(d_u, shots, ava_to_zor(llm), scorer)
+        direct = back_translate(d_u, shots, ava_to_zor(llm, tmp_path), scorer)
         assert pool.pairs == direct.pairs
         assert pool.iteration == 1
 
     def test_two_iterations_tagged_and_reproducible(self, tmp_path):
         d_u, w2w, llm, scorer = self._setup(tmp_path, 2)
-        pool_a = mine_examples(d_u, w2w, 2, ava_to_zor(llm), scorer, iterations=2)
-        pool_b = mine_examples(d_u, w2w, 2, ava_to_zor(llm), scorer, iterations=2)
+        translator = ava_to_zor(llm, tmp_path)
+        pool_a = mine_examples(d_u, w2w, 2, translator, scorer, iterations=2)
+        pool_b = mine_examples(d_u, w2w, 2, translator, scorer, iterations=2)
         assert pool_a.iteration == 2
         assert pool_a.pairs == pool_b.pairs
 
     def test_iterations_must_be_positive(self, tmp_path):
         d_u, w2w, llm, scorer = self._setup(tmp_path, 1)
         with pytest.raises(DataError):
-            mine_examples(d_u, w2w, 2, ava_to_zor(llm), scorer, iterations=0)
+            mine_examples(d_u, w2w, 2, ava_to_zor(llm, tmp_path), scorer, iterations=0)
 
 
 class TestPoolIO:

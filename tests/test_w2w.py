@@ -12,12 +12,14 @@ from icl_miner.tokens import segment
 from icl_miner.w2w import build_w2w, read_w2w, write_w2w
 from icl_miner.word_mining import WordPair
 
+from conftest import behind_cache
+
 AVA = LanguageSpec(code="ava_Latn", display_name="Avalian")
 ZOR = LanguageSpec(code="zor_Latn", display_name="Zorvan")
 
 
-def ava_to_zor(llm):
-    return Translator(llm, AVA, ZOR)
+def ava_to_zor(llm, tmp_path):
+    return Translator(behind_cache(llm, tmp_path), AVA, ZOR)
 
 SHOTS = [WordPair("luma", "lumak"), WordPair("tovi", "tovik")]
 
@@ -47,55 +49,58 @@ def lexicon_backend(tmp_path, lexicon: dict[str, str]):
 class TestTranslateWordIcl:
     def test_fixture_trace(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        assert build_w2w(["gato"], SHOTS, ava_to_zor(llm)).pairs == (("gato", "cat"),)
+        corpus = build_w2w(["gato"], SHOTS, ava_to_zor(llm, tmp_path))
+        assert corpus.pairs == (("gato", "cat"),)
 
     def test_unfixtured_word_copies_through(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
         # one failure in two is tolerated
-        corpus = build_w2w(["gato xyzzy"], SHOTS, ava_to_zor(llm))
+        corpus = build_w2w(["gato xyzzy"], SHOTS, ava_to_zor(llm, tmp_path))
         assert corpus.pairs == (("gato xyzzy", "cat xyzzy"),)
 
-    def test_memoization_single_backend_call(self, tmp_path):
+    def test_memoization_single_backend_call(self, tmp_path, llm_calls):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        corpus = build_w2w(["gato", "gato gato"], SHOTS, ava_to_zor(llm))
+        corpus = build_w2w(["gato", "gato gato"], SHOTS, ava_to_zor(llm, tmp_path))
         assert corpus.pairs[1] == ("gato gato", "cat cat")
-        assert llm.call_count == 1
+        assert len(llm_calls) == 1
 
 
 class TestBuildW2w:
     def test_punctuation_copied_through(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat", "negro": "black"})
-        corpus = build_w2w(["gato negro."], SHOTS, ava_to_zor(llm))
+        corpus = build_w2w(["gato negro."], SHOTS, ava_to_zor(llm, tmp_path))
         assert corpus.pairs[0] == ("gato negro.", "cat black .")
 
     def test_all_punctuation_sentence_unchanged(self, tmp_path):
         llm = lexicon_backend(tmp_path, {})
-        corpus = build_w2w(["…!"], SHOTS, ava_to_zor(llm))
+        corpus = build_w2w(["…!"], SHOTS, ava_to_zor(llm, tmp_path))
         assert corpus.pairs[0][1] == "…!"
 
     def test_digits_copied_through(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"km": "km2"})
-        corpus = build_w2w(["70 km"], SHOTS, ava_to_zor(llm))
+        corpus = build_w2w(["70 km"], SHOTS, ava_to_zor(llm, tmp_path))
         assert corpus.pairs[0][1] == "70 km2"
 
     def test_output_aligns_with_input(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"a": "x", "b": "y"})
         sentences = ["a", "b", "a b"]
-        corpus = build_w2w(sentences, SHOTS, ava_to_zor(llm))
+        corpus = build_w2w(sentences, SHOTS, ava_to_zor(llm, tmp_path))
         assert len(corpus) == len(sentences)
         assert [src for src, _ in corpus.pairs] == sentences
 
     def test_token_counts_match_one_to_one(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat", "negro": "black"})
         sentences = ["gato negro.", "gato, gato!", "…!"]
-        corpus = build_w2w(sentences, SHOTS, ava_to_zor(llm))
+        corpus = build_w2w(sentences, SHOTS, ava_to_zor(llm, tmp_path))
         for source, rendering in corpus.pairs:
             assert len(segment(rendering)) == len(segment(source))
 
     def test_identity_lexicon_reproduces_tokens(self, tmp_path):
         words = ["luma", "tovi", "sken"]
         llm = lexicon_backend(tmp_path, {w: w for w in words})
-        corpus = build_w2w(["luma tovi sken", "sken luma"], SHOTS, ava_to_zor(llm))
+        corpus = build_w2w(
+            ["luma tovi sken", "sken luma"], SHOTS, ava_to_zor(llm, tmp_path)
+        )
         for source, rendering in corpus.pairs:
             assert [t for t, _ in segment(rendering)] == [
                 t for t, _ in segment(source)
@@ -103,38 +108,38 @@ class TestBuildW2w:
 
     def test_stats_count_copies_and_translations(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        corpus = build_w2w(["gato xyzzy."], SHOTS, ava_to_zor(llm))
+        corpus = build_w2w(["gato xyzzy."], SHOTS, ava_to_zor(llm, tmp_path))
         assert corpus.copied_through == (2,)  # xyzzy (failed) + period
         assert corpus.copy_through_ratio == 1 / 2  # words only: xyzzy of 2
 
-    def test_failed_word_memoized_once(self, tmp_path):
+    def test_failed_word_memoized_once(self, tmp_path, llm_calls):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        build_w2w(["zz zz zz gato"], SHOTS, ava_to_zor(llm))
-        assert llm.call_count == 2  # one attempt for zz, one for gato
+        build_w2w(["zz zz zz gato"], SHOTS, ava_to_zor(llm, tmp_path))
+        assert len(llm_calls) == 2  # one attempt for zz, one for gato
 
     def test_majority_of_failed_words_aborts(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
         with pytest.raises(BackendError, match="2/3 word translations failed"):
-            build_w2w(["gato xyzzy perro .", "perro"], SHOTS, ava_to_zor(llm))
+            build_w2w(["gato xyzzy perro .", "perro"], SHOTS, ava_to_zor(llm, tmp_path))
         # a lone word that fails is a majority too
         with pytest.raises(BackendError, match="1/1 word translations failed"):
-            build_w2w(["xyzzy"], SHOTS, ava_to_zor(llm))
+            build_w2w(["xyzzy"], SHOTS, ava_to_zor(llm, tmp_path))
 
     def test_empty_sentence_list_rejected(self, tmp_path):
         llm = lexicon_backend(tmp_path, {})
         with pytest.raises(DataError):
-            build_w2w([], SHOTS, ava_to_zor(llm))
+            build_w2w([], SHOTS, ava_to_zor(llm, tmp_path))
 
     def test_no_shots_rejected(self, tmp_path):
         llm = lexicon_backend(tmp_path, {})
         with pytest.raises(DataError):
-            build_w2w(["a"], [], ava_to_zor(llm))
+            build_w2w(["a"], [], ava_to_zor(llm, tmp_path))
 
 
 class TestW2wIO:
     def test_round_trip(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
-        corpus = build_w2w(["gato.", "gato gato"], SHOTS, ava_to_zor(llm))
+        corpus = build_w2w(["gato.", "gato gato"], SHOTS, ava_to_zor(llm, tmp_path))
         path = tmp_path / "out.jsonl"
         write_w2w(path, corpus)
         assert read_w2w(path) == corpus
@@ -142,7 +147,7 @@ class TestW2wIO:
     def test_round_trip_keeps_copy_through_ratio(self, tmp_path):
         llm = lexicon_backend(tmp_path, {"gato": "cat"})
         corpus = build_w2w(
-            ["gato xyzzy.", "gato gato", "12 gato", "!!"], SHOTS, ava_to_zor(llm)
+            ["gato xyzzy.", "gato gato", "12 gato", "!!"], SHOTS, ava_to_zor(llm, tmp_path)
         )
         path = tmp_path / "out.jsonl"
         write_w2w(path, corpus)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from icl_miner.backends import MockLLMBackend, SimilarityScorer, TrigramHashEmbedder
+from icl_miner.backends import MockLLMBackend
 from icl_miner.corpus import LanguageSpec, Vocabulary
 from icl_miner.errors import BackendError, DataError
 from icl_miner.prompts import Translator, word_translation_prompt
@@ -23,6 +23,8 @@ from icl_miner.word_mining import (
     write_lexicon,
 )
 
+from conftest import behind_cache, trigram_scorer
+
 AVA = LanguageSpec(code="ava_Latn", display_name="Avalian")
 ZOR = LanguageSpec(code="zor_Latn", display_name="Zorvan")
 
@@ -31,8 +33,8 @@ def vocab(words):
     return Vocabulary(words=tuple(words))
 
 
-def ava_to_zor(llm):
-    return Translator(llm, AVA, ZOR)
+def ava_to_zor(llm, tmp_path):
+    return Translator(behind_cache(llm, tmp_path), AVA, ZOR)
 
 
 def fixture_backend(tmp_path, mapping, shots_fwd=(), shots_bwd=()):
@@ -72,7 +74,7 @@ class TestMineForward:
         )
         pool = mine_forward(
             vocab(["gato"]), vocab(["cat", "car"]), MiningConfig(n=3),
-            ava_to_zor(llm),
+            ava_to_zor(llm, tmp_path),
         )
         assert pool == {"gato": (("cat", -1.0), ("car", -2.0))}
 
@@ -86,7 +88,7 @@ class TestMineForward:
         )
         pool = mine_forward(
             vocab(["gato", "perro"]), vocab(["cat"]), MiningConfig(n=1),
-            ava_to_zor(llm),
+            ava_to_zor(llm, tmp_path),
         )
         assert "perro" not in pool
         assert "gato" in pool
@@ -98,7 +100,7 @@ class TestMineForward:
             vocab(["w"]),
             vocab([f"t{i}" for i in range(10)]),
             MiningConfig(n=4),
-            ava_to_zor(llm),
+            ava_to_zor(llm, tmp_path),
         )
         assert len(pool["w"]) <= 4
 
@@ -108,7 +110,7 @@ class TestMineForward:
             {("w", "fwd"): [("cat", -1.0), ("CAT", -2.0), ("cat", -3.0)]},
         )
         pool = mine_forward(
-            vocab(["w"]), vocab(["cat"]), MiningConfig(n=3), ava_to_zor(llm)
+            vocab(["w"]), vocab(["cat"]), MiningConfig(n=3), ava_to_zor(llm, tmp_path)
         )
         assert pool["w"] == (("cat", -1.0),)
 
@@ -117,7 +119,7 @@ class TestMineForward:
         with pytest.raises(BackendError, match="aborting"):
             mine_forward(
                 vocab(["a", "b", "c"]), vocab(["cat"]),
-                MiningConfig(n=1), ava_to_zor(llm),
+                MiningConfig(n=1), ava_to_zor(llm, tmp_path),
             )
 
     def test_minority_failures_tolerated(self, tmp_path):
@@ -127,7 +129,7 @@ class TestMineForward:
         )
         pool = mine_forward(
             vocab(["a", "b", "c"]), vocab(["cat", "car"]),
-            MiningConfig(n=1), ava_to_zor(llm),
+            MiningConfig(n=1), ava_to_zor(llm, tmp_path),
         )
         assert set(pool) == {"a", "b"}
 
@@ -143,7 +145,7 @@ class TestMineBackward:
         )
         forward = {"gato": (("cat", -1.0),), "auto": (("car", -1.5),)}
         backward = mine_backward(
-            forward, vocab(["gato", "coche", "auto"]), ava_to_zor(llm)
+            forward, vocab(["gato", "coche", "auto"]), ava_to_zor(llm, tmp_path)
         )
         assert backward == {
             "cat": (("gato", -1.0),),
@@ -153,14 +155,14 @@ class TestMineBackward:
     def test_back_translation_outside_vocab_dropped(self, tmp_path):
         llm = fixture_backend(tmp_path, {("cat", "bwd"): [("unknown", -1.0)]})
         forward = {"gato": (("cat", -1.0),)}
-        backward = mine_backward(forward, vocab(["gato"]), ava_to_zor(llm))
+        backward = mine_backward(forward, vocab(["gato"]), ava_to_zor(llm, tmp_path))
         assert backward == {}
 
-    def test_duplicate_targets_translated_once(self, tmp_path):
+    def test_duplicate_targets_translated_once(self, tmp_path, llm_calls):
         llm = fixture_backend(tmp_path, {("cat", "bwd"): [("gato", -1.0)]})
         forward = {"gato": (("cat", -1.0),), "minino": (("cat", -2.0),)}
-        mine_backward(forward, vocab(["gato", "minino"]), ava_to_zor(llm))
-        assert llm.call_count == 1
+        mine_backward(forward, vocab(["gato", "minino"]), ava_to_zor(llm, tmp_path))
+        assert len(llm_calls) == 1
 
 
 class TestConsistencyFilter:
@@ -277,18 +279,18 @@ ROUND_TRIP = {
 
 
 class TestRefineKshot:
-    def test_fixed_point_when_backend_unchanged(self, tmp_path):
+    def test_fixed_point_when_backend_unchanged(self, tmp_path, llm_calls):
         llm = fixture_backend(
             tmp_path, ROUND_TRIP, shots_fwd=[("gato", "cat")], shots_bwd=[("cat", "gato")]
         )
-        scorer = SimilarityScorer(TrigramHashEmbedder())
+        scorer = trigram_scorer(tmp_path)
         refined = mine_lexicon(
             vocab(["gato"]), vocab(["cat"]),
-            MiningConfig(n=1, k_wp=1), ava_to_zor(llm), scorer,
+            MiningConfig(n=1, k_wp=1), ava_to_zor(llm, tmp_path), scorer,
         )
         assert [(p.source_word, p.target_word) for p in refined] == [("gato", "cat")]
         assert all(p.provenance == K_SHOT for p in refined)
-        assert llm.call_count == 4  # each word once per round and direction
+        assert len(llm_calls) == 4  # each word once per round and direction
 
     def test_seed_pair_rendered_in_prompt(self):
         prompt = word_translation_prompt(
@@ -302,35 +304,37 @@ class TestRefineKshot:
         llm = fixture_backend(
             tmp_path, ROUND_TRIP, shots_fwd=[("gato", "cat")], shots_bwd=[("cat", "gato")]
         )
-        scorer = SimilarityScorer(TrigramHashEmbedder())
+        scorer = trigram_scorer(tmp_path)
         refined = mine_lexicon(
             vocab(["gato"]), vocab(["cat"]),
-            MiningConfig(n=1, k_wp=10), ava_to_zor(llm), scorer,
+            MiningConfig(n=1, k_wp=10), ava_to_zor(llm, tmp_path), scorer,
         )
         assert len(refined) <= 10
 
 
 class TestMineLexicon:
-    def test_empty_kshot_forward_pool_keeps_zero_shot_pairs(self, tmp_path, caplog):
+    def test_empty_kshot_forward_pool_keeps_zero_shot_pairs(
+        self, tmp_path, caplog, llm_calls
+    ):
         # the k-shot round finds no target-vocabulary word for gato
         mapping = {**ROUND_TRIP, ("gato", "fwd"): [("nope", -1.0)]}
         del mapping[("cat", "bwd")]
         llm = fixture_backend(
             tmp_path, mapping, shots_fwd=[("gato", "cat")], shots_bwd=[("cat", "gato")]
         )
-        scorer = SimilarityScorer(TrigramHashEmbedder())
+        scorer = trigram_scorer(tmp_path)
         pairs = mine_lexicon(
             vocab(["gato"]), vocab(["cat"]),
-            MiningConfig(n=1, k_wp=1), ava_to_zor(llm), scorer,
+            MiningConfig(n=1, k_wp=1), ava_to_zor(llm, tmp_path), scorer,
         )
         assert [(p.source_word, p.target_word, p.provenance) for p in pairs] == [
             ("gato", "cat", ZERO_SHOT)
         ]
         assert pairs[0].similarity == scorer.sim("gato", "cat")
         assert "keeping seed pairs" in caplog.text
-        assert llm.call_count == 3  # the empty pool sends no back-translation
+        assert len(llm_calls) == 3  # the empty pool sends no back-translation
 
-    def test_no_zero_shot_pairs_is_an_error(self, tmp_path):
+    def test_no_zero_shot_pairs_is_an_error(self, tmp_path, llm_calls):
         llm = fixture_backend(
             tmp_path,
             {
@@ -342,10 +346,10 @@ class TestMineLexicon:
         with pytest.raises(DataError, match="no consistent pairs"):
             mine_lexicon(
                 vocab(["gato", "perro"]), vocab(["cat"]),
-                MiningConfig(n=1), ava_to_zor(llm),
-                SimilarityScorer(TrigramHashEmbedder()),
+                MiningConfig(n=1), ava_to_zor(llm, tmp_path),
+                trigram_scorer(tmp_path),
             )
-        assert llm.call_count == 3  # the zero-shot round's only: no k-shot round
+        assert len(llm_calls) == 3  # the zero-shot round's only: no k-shot round
 
 
 class TestLexiconIO:
