@@ -150,7 +150,7 @@ class EmbeddingVector:
     def __post_init__(self) -> None:
         if not self.values:
             raise BackendError("embedding vector must be non-empty")
-        if any(not math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise BackendError("embedding vector contains non-finite values")
 
     @property
@@ -191,7 +191,8 @@ class SimilarityScorer:
     """sim(x, y) = cosine(embed(x), embed(y)), with embeddings memoized.
 
     `sims` scores many pairs: it first embeds the distinct texts not yet
-    memoized through one `embed_all` of the caching embedder.
+    memoized through one `embed_all` of the caching embedder, then takes
+    the cosine of each distinct pair once.
     """
 
     def __init__(self, embedder: CachingEmbedder):
@@ -220,7 +221,8 @@ class SimilarityScorer:
             if isinstance(vector, BackendError):
                 raise vector
             self._memo[text] = vector
-        return [self.sim(x, y) for x, y in pairs]
+        scored = {pair: self.sim(*pair) for pair in dict.fromkeys(pairs)}
+        return [scored[pair] for pair in pairs]
 
 
 def generate_each(

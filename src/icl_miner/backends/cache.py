@@ -57,9 +57,8 @@ class ResponseCache:
     in-memory index of where each value lies; if a key appears twice the
     later line wins (backends are deterministic, so both hold the same
     answer). A last line without its newline is a write torn by a killed
-    run and is skipped. `contains` is an index lookup; `get` reads the value
-    bytes back, and an unreadable or undecodable value is a miss with a
-    warning.
+    run and is skipped. `get` reads the value bytes back, and an unreadable
+    or undecodable value is a miss with a warning.
 
     A process sees only the entries other processes wrote before it opened
     the cache, so two runs at once may both send one request. Entries in the
@@ -89,9 +88,6 @@ class ResponseCache:
                 value = start + _KEY_LEN + 1
                 self._index[key] = (segment, value, end - value)
             start = end + 1
-
-    def contains(self, key: str) -> bool:
-        return key in self._index
 
     def get(self, key: str) -> dict | None:
         entry = self._index.get(key)
@@ -229,7 +225,7 @@ class CachingEmbedder(_CachingWrapper):
         return {"vector": list(vector.values)}
 
     def _decode(self, hit: dict) -> EmbeddingVector:
-        return EmbeddingVector(tuple(float(v) for v in hit["vector"]))
+        return EmbeddingVector(tuple(map(float, hit["vector"])))
 
     def embed_all(self, texts: list[str]) -> list[EmbeddingVector | BackendError]:
         """The vector of each distinct text, or its BackendError."""

@@ -329,7 +329,9 @@ class Pipeline:
 
         Work that does not depend on the query (the similarity order, the
         BM25 candidates and their index) is done once, before the loop;
-        the selectors are looked up in `sentence_mining` at call time.
+        the selectors are looked up in `sentence_mining` at call time and
+        called once per test sentence, and the candidates rank each
+        distinct sentence only once.
         """
         cfg = self.config
         if spec.selector == "none":

@@ -10,7 +10,8 @@ fallback when the threshold leaves fewer than k candidates, then lexical
 BM25 ranking against the query). Only the BM25 ranking depends on the
 query: the similarity order is computed once per pool, and the filtered
 candidates and their BM25 index once per pool and selection constants
-(`bm25_candidates`).
+(`bm25_candidates`). Each distinct query is ranked once per candidate set;
+a repeated query reuses that ranking.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -183,6 +184,8 @@ class Bm25Candidates:
 
     `ids` are the candidates' pool indices by descending similarity, ties
     in pool order; `index` covers their source sides in that order.
+    `ranked` memoizes, per query text, the pool indices and BM25 scores of
+    the query's k best candidates, so each distinct query is ranked once.
     """
 
     pool: MinedPool
@@ -190,6 +193,9 @@ class Bm25Candidates:
     ids: tuple[int, ...]
     index: bm25.Bm25Index
     used_fallback: bool
+    ranked: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def bm25_candidates(
@@ -221,17 +227,23 @@ def select_topk_bm25_with_audit(
 
     Ties go by similarity, then pool order: the candidates come in that
     order, and `heapq.nlargest` keeps the k best in the order of a stable
-    descending sort without sorting the rest.
+    descending sort without sorting the rest. A query is scored only the
+    first time it is seen on `candidates`; a repeat reads the ranking from
+    `candidates.ranked` and gets a new list of pairs.
     """
     if not query:
         raise DataError("query must be non-empty")
-    scores = bm25.score_all(candidates.index, query)
-    top = heapq.nlargest(candidates.k, range(len(scores)), key=scores.__getitem__)
-    ids = tuple(candidates.ids[j] for j in top)
+    ranked = candidates.ranked.get(query)
+    if ranked is None:
+        scores = bm25.score_all(candidates.index, query)
+        top = heapq.nlargest(candidates.k, range(len(scores)), key=scores.__getitem__)
+        ranked = candidates.ranked[query] = (
+            tuple(candidates.ids[j] for j in top),
+            tuple(scores[j] for j in top),
+        )
+    ids, scores = ranked
     audit = SelectionAudit(
-        pool_indices=ids,
-        bm25_scores=tuple(scores[j] for j in top),
-        used_fallback=candidates.used_fallback,
+        pool_indices=ids, bm25_scores=scores, used_fallback=candidates.used_fallback
     )
     return [candidates.pool.pairs[i] for i in ids], audit
 

@@ -60,6 +60,20 @@ def segments(root):
     return sorted(root.glob("seg-*.jsonl"))
 
 
+def stored_keys(root) -> set[str]:
+    """The key of every complete entry line in any segment under `root`."""
+    return {
+        line[:64].decode("ascii")
+        for segment in segments(root)
+        for line in segment.read_bytes().split(b"\n")[:-1]
+    }
+
+
+def absent(cache: ResponseCache, key: str) -> bool:
+    """`key` is a miss that no segment stores (not a corrupt stored entry)."""
+    return cache.get(key) is None and key not in stored_keys(cache.root)
+
+
 def write_llm_fixture(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
@@ -396,11 +410,11 @@ class TestGenerateEach:
         assert sorted(backend.calls) == ["bad", "ok"]
         failures = [r for r in caplog.records if "rejected bad" in r.getMessage()]
         assert len(failures) == 1  # the distinct failure, logged once
-        stored = [
-            llm.cache.contains(fingerprint("failing", "m", request.to_payload()))
-            for request in (ok, bad)
-        ]
-        assert stored == [True, False]
+        ok_key, bad_key = (
+            fingerprint("failing", "m", request.to_payload()) for request in (ok, bad)
+        )
+        assert llm.cache.get(ok_key) == {"completions": [{"text": "OK", "score": 0.0}]}
+        assert absent(llm.cache, bad_key)
         # a second call gets the success from the cache and sends the failure again
         generate_each(llm, [bad, ok])
         assert sorted(backend.calls) == ["bad", "bad", "ok"]
@@ -499,7 +513,7 @@ class TestResponseCache:
             fh.write(b"02" * 32 + b' {"n": ')
         reopened = ResponseCache(root)
         assert reopened.get("01" * 32) == {"n": 1}
-        assert not reopened.contains("02" * 32)
+        assert absent(reopened, "02" * 32)
         reopened.put("02" * 32, {"n": 2})
         assert reopened.get("02" * 32) == {"n": 2}
         assert ResponseCache(root).get("02" * 32) == {"n": 2}
@@ -529,7 +543,7 @@ class TestResponseCache:
         ResponseCache(root).put("ab" * 32, {"x": 1})
         before = segments(root)
         reader = ResponseCache(root)
-        assert reader.contains("ab" * 32) and reader.get("ab" * 32) == {"x": 1}
+        assert reader.get("ab" * 32) == {"x": 1}
         assert reader.get("cd" * 32) is None
         assert segments(root) == before
 
@@ -541,8 +555,10 @@ class TestResponseCache:
         third = ResponseCache(root)
         assert third.get("ab" * 32) == {"from": "first"}
         assert third.get("cd" * 32) == {"from": "second"}
-        # an instance opened before a put does not see it
-        assert not first.contains("cd" * 32)
+        # an instance opened before a put does not see it, although the
+        # stored entry is intact (third read it)
+        assert first.get("cd" * 32) is None
+        assert "cd" * 32 in stored_keys(root)
 
     def test_old_layout_entry_is_a_miss(self, tmp_path):
         root = tmp_path / "cache"
@@ -550,8 +566,7 @@ class TestResponseCache:
         (root / "ab").mkdir(parents=True)
         (root / "ab" / f"{key}.json").write_text('{"x": 1}', encoding="utf-8")
         cache = ResponseCache(root)
-        assert not cache.contains(key)
-        assert cache.get(key) is None
+        assert absent(cache, key)
 
     def test_entries_survive_a_killed_writer(self, tmp_path):
         root = tmp_path / "cache"
@@ -565,8 +580,7 @@ class TestResponseCache:
         cache = ResponseCache(root)
         for i in range(20):
             assert cache.get(f"{i:064x}") == {"i": i}
-        assert not cache.contains("f" * 64)
-        assert cache.get("f" * 64) is None
+        assert absent(cache, "f" * 64)
 
     def test_fingerprint_sensitive_to_temperature(self):
         request_a = GenerationRequest(
@@ -755,7 +769,7 @@ class TestAnswerAll:
         assert isinstance(failure, BackendRejected)
         assert str(failure) == "rejected bad"
         assert answer == [ScoredCompletion("OK", -1.0)]
-        assert not llm.cache.contains(fingerprint("slow", "m", bad.to_payload()))
+        assert absent(llm.cache, fingerprint("slow", "m", bad.to_payload()))
         with pytest.raises(BackendRejected, match="rejected bad"):
             llm.generate(bad)
         assert llm.generate(ok) == answer

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from icl_miner import backends, metrics, w2w, word_mining
+from icl_miner import backends, bm25, metrics, sentence_mining, w2w, word_mining
 from icl_miner.backends import MockLLMBackend, ScoredCompletion
 from icl_miner.config import POLICIES, load_config
 from icl_miner.errors import BackendError, BackendRejected, DataError
@@ -451,3 +451,53 @@ def test_best_first_reverses_the_shots_of_ranked_policies_only(
         assert reversed_ != best_last, policy
         expected = reversed_ if POLICIES[policy].ranked else best_last
         assert sent["best_first"][policy] == expected, policy
+
+
+def test_each_test_line_is_selected_once_and_each_distinct_one_ranked_once(
+    tmp_path, toy_dir, monkeypatch
+):
+    # perfbench's traced run expects one select_* call per test line and
+    # policy; only the BM25 ranking inside is memoized per distinct line
+    data = tmp_path / "toy"
+    shutil.copytree(toy_dir, data, ignore=shutil.ignore_patterns("golden"))
+    for name in ("test.ava.txt", "test.zor.txt"):
+        path = data / name
+        path.write_text("\n".join([*lines(path), lines(path)[0]]) + "\n", encoding="utf-8")
+    sources = lines(data / "test.ava.txt")
+    # w2w (and so the back-translation shots) from the fixtured test set
+    pipeline = toy_pipeline(
+        data / "toy.ini", tmp_path, w2w_source=str(toy_dir / "test.ava.txt")
+    )
+    pipeline.mine_sentences()
+    calls = Counter()
+
+    def counting(module, name):
+        function = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+
+    for name in ("select_random", "select_topk", "select_topk_bm25_with_audit"):
+        counting(sentence_mining, name)
+    counting(bm25, "score_all")
+    monkeypatch.setattr(Translator, "sentences",
+                        lambda self, sentences, lists, what="": [""] * len(sentences))
+    for policy, spec in POLICIES.items():
+        if spec.selector == "none":
+            continue
+        calls.clear()
+        pipeline.translate(policy)
+        selector = {"first_k": "select_random", "top_k": "select_topk",
+                    "top_k_bm25": "select_topk_bm25_with_audit"}[spec.selector]
+        expected = {selector: len(sources)}
+        if spec.selector == "top_k_bm25":
+            expected["score_all"] = len(set(sources))
+        assert calls == expected, policy
+        records = [json.loads(line)
+                   for line in lines(pipeline.run_dir / f"audit.{policy}.jsonl")]
+        first, repeat = records[0], records[-1]
+        assert repeat.pop("query_index") == len(sources) - 1
+        assert first.pop("query_index") == 0
+        assert repeat == first, policy

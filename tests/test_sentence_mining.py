@@ -12,6 +12,8 @@ import pytest
 from icl_miner import bm25
 
 from icl_miner.backends import EmbeddingVector, MockLLMBackend, SimilarityScorer
+from icl_miner.backends import base as backends_base
+from icl_miner.backends.base import cosine
 from icl_miner.bm25 import tokenize
 from icl_miner.config import PipelineConfig
 from icl_miner.corpus import LanguageSpec
@@ -202,6 +204,27 @@ class TestBackTranslate:
         ]
 
 
+class TestPairSimilarities:
+    """Back-translation scores its pairs through `SimilarityScorer.sims`."""
+
+    def test_repeated_pair_takes_one_cosine(self, tmp_path, monkeypatch):
+        scorer = trigram_scorer(tmp_path)
+        taken = []
+
+        def counting(u, v):
+            taken.append((u, v))
+            return cosine(u, v)
+
+        monkeypatch.setattr(backends_base, "cosine", counting)
+        pairs = [("ab", "abc"), ("xy", "xz"), ("ab", "abc"), ("abc", "ab"),
+                 ("ab", "abc")]
+        got = scorer.sims(pairs)
+        assert len(taken) == 3  # distinct (x, y) pairs, order counted
+        assert got[0] == got[2] == got[4]
+        assert got == [cosine(scorer.embedding(x), scorer.embedding(y))
+                       for x, y in pairs]
+
+
 class TestSelectRandom:
     def test_first_k_convention(self):
         pool = make_pool([0.5] * 10)
@@ -338,14 +361,22 @@ class TestSelectTopkBm25:
             k = rng.randint(1, min(8, size))
             tau = rng.choice([0.0, 0.6, 0.9])
             fallback_m = max(k, rng.randint(k, 20))
-            # one prepared candidate set serves every query
+            # one prepared candidate set serves every query, repeats included
             candidates = bm25_candidates(pool, k, tau, fallback_m)
+            queries = [
+                " ".join(rng.choices(WORDS, k=rng.randint(1, 4))) for _ in range(4)
+            ]
+            asked = set()
             for _ in range(10):
-                query = " ".join(rng.choices(WORDS, k=rng.randint(1, 4)))
-                _, audit = select_topk_bm25_with_audit(candidates, query)
-                assert list(audit.pool_indices) == oracle_topk_bm25(
+                query = rng.choice(queries)
+                asked.add(query)
+                got = select_topk_bm25_with_audit(candidates, query)
+                assert list(got[1].pool_indices) == oracle_topk_bm25(
                     pool, query, k, tau, fallback_m
                 )
+                fresh = bm25_candidates(pool, k, tau, fallback_m)
+                assert got == select_topk_bm25_with_audit(fresh, query)
+            assert set(candidates.ranked) == asked
 
     def test_ties_keep_the_order_of_a_stable_full_sort(self):
         rng = random.Random(23)
@@ -371,6 +402,25 @@ class TestSelectTopkBm25:
         first = select_topk_bm25_with_audit(candidates, "cat")
         second = select_topk_bm25_with_audit(candidates, "cat")
         assert first == second
+
+    def test_each_distinct_query_is_scored_once(self, monkeypatch):
+        pool = make_pool([0.95, 0.91, 0.92], texts=["cat", "dog", "cat dog"])
+        candidates = bm25_candidates(pool, k=2, tau=0.9, fallback_m=2)
+        scored, score_all = [], bm25.score_all
+
+        def counting(index, query):
+            scored.append(query)
+            return score_all(index, query)
+
+        monkeypatch.setattr(bm25, "score_all", counting)
+        got = [
+            select_topk_bm25_with_audit(candidates, query)
+            for query in ("cat", "dog", "cat", "cat dog", "cat")
+        ]
+        assert scored == ["cat", "dog", "cat dog"]
+        assert got[0] == got[2] == got[4]
+        # each call returns its own list of pairs
+        assert got[0][0] is not got[2][0] and got[2][0] is not got[4][0]
 
     def test_raising_tau_never_grows_candidates(self):
         pool = make_pool([0.1, 0.35, 0.55, 0.75, 0.95], texts=["cat"] * 5)
